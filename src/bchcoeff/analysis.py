@@ -3,15 +3,13 @@ exhaustive degree sweeps, and the factorial-valuation classifier.
 
 ``extract_leading`` splits a rational into a_hat / p**e plus a strictly
 smaller tail; ``expected_a`` predicts a_hat for word shapes with a closed
-form.  The brute-force sweeps (``brute_lcm_degree``, ``max_vp_degree``,
-``q_set``) stay exhaustive by design and carry explicit size guards.
+form.  The brute-force sweeps (``brute_lcm_degree``, ``q_set``) stay
+exhaustive by design and carry explicit size guards.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,22 +24,18 @@ from .exactmath import (
     vp,
 )
 from .goldberg import WordSpec, coeff_alg2, coeff_goldberg_sum, series_oracle
-from .special import bernoulli
 
 __all__ = [
     "BRUTE_DEGREE_MAX",
-    "JOBS_ENV_VAR",
     "LeadingTerm",
     "Lemma3Class",
     "Partition",
     "QSET_DEGREE_MAX",
-    "bernoulli_binomial_sum",
     "bernoulli_sum_residue",
     "brute_lcm_degree",
     "expected_a",
     "extract_leading",
     "lemma3_sides",
-    "max_vp_degree",
     "q_set",
 ]
 
@@ -49,8 +43,6 @@ __all__ = [
 BRUTE_DEGREE_MAX = 14
 # q_set walks every partition of n (p(31) = 6842)
 QSET_DEGREE_MAX = 31
-# worker-count override for the partition scan (process-based; default 1)
-JOBS_ENV_VAR = "BCHCOEFF_JOBS"
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,10 @@ def extract_leading(x: Fraction | int, p: int) -> LeadingTerm:
         e += 1
     a_hat = num % p * mod_inverse(v, p) % p
     u_hat = x - Fraction(a_hat, p**e)
-    assert u_hat == 0 or vp(u_hat, p) > -e
+    if u_hat and vp(u_hat, p) <= -e:
+        raise ArithmeticError(
+            f"extract_leading({x}, {p}): tail {u_hat} does not lie above depth {e}"
+        )
     return LeadingTerm(e, a_hat, u_hat)
 
 
@@ -149,20 +144,6 @@ def brute_lcm_degree(n: int) -> int:
     return out
 
 
-def max_vp_degree(n: int, p: int) -> int:
-    """Largest v_p(denominator) over all words of degree n."""
-    require_prime(p)
-    if not 1 <= n <= BRUTE_DEGREE_MAX:
-        raise ValueError(f"brute-force degree guard: 1 <= n <= {BRUTE_DEGREE_MAX}, got {n}")
-    best = 0
-    for word, coeff in series_oracle(n).items():
-        if len(word) == n:
-            v = vp(coeff.denominator, p)
-            if v > best:
-                best = v
-    return best
-
-
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive parts."""
@@ -181,24 +162,12 @@ class Partition:
         return sum(self.parts)
 
 
-def _qset_chunk(args):
-    # module level so a process pool can pickle it
-    chunk, p, d = args
-    out = []
-    for parts in chunk:
-        c = coeff_alg2(WordSpec(True, parts), common_denominator=d)
-        out.append(vp(c.denominator, p))
-    return out
-
-
-def q_set(n: int, p: int, *, method: str = "alg2", jobs: int | None = None) -> tuple[Partition, ...]:
+def q_set(n: int, p: int, *, method: str = "alg2") -> tuple[Partition, ...]:
     """Every descending partition of n whose A-first word attains the extreme
     denominator valuation v_p(n!) + l(n, p).
 
     Exhaustive over all partitions of n, in reverse-lexicographic order.  The
-    common denominator n! * d_n is computed once and shared.  ``jobs`` (or the
-    BCHCOEFF_JOBS environment variable) spreads the scan over worker
-    processes; output order never depends on it.
+    common denominator n! * d_n is computed once and shared.
     """
     require_prime(p)
     if not 1 <= n <= QSET_DEGREE_MAX:
@@ -206,20 +175,9 @@ def q_set(n: int, p: int, *, method: str = "alg2", jobs: int | None = None) -> t
     if method not in ("alg2", "goldberg"):
         raise ValueError(f"method must be 'alg2' or 'goldberg', got {method!r}")
     target = legendre_vp_factorial(n, p) + l_exponent(n, p)
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1") or "1")
     all_parts = list(partitions(n))
     if method == "goldberg":
         valuations = [vp(coeff_goldberg_sum(parts).denominator, p) for parts in all_parts]
-    elif jobs > 1:
-        d = capital_denominator(n)
-        chunks = [all_parts[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_qset_chunk, [(c, p, d) for c in chunks]))
-        valuations = [0] * len(all_parts)
-        for lane, vals in enumerate(results):
-            for row, v in enumerate(vals):
-                valuations[lane + row * jobs] = v
     else:
         d = capital_denominator(n)
         valuations = [
@@ -274,19 +232,6 @@ def lemma3_sides(j, p: int, l: int):
             elif m == p + 1 and p * p <= sum(tup) <= p * p + p - 1:
                 cls = Lemma3Class.ONE_LARGE_WINDOW
     return lhs, rhs, cls
-
-
-def bernoulli_binomial_sum(n: int, k: int) -> Fraction:
-    """sum(C(k, j) * B_(n-j) for j = 1..k), the Bernoulli part of the
-    two-block coefficient."""
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got {k}")
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        total += math.comb(k, j) * bernoulli(n - j)
-    return total
 
 
 def bernoulli_sum_residue(n: int, k: int, p: int) -> int:

@@ -15,7 +15,6 @@ import sys
 from .analysis import brute_lcm_degree, q_set
 from .denominators import (
     capital_denominator,
-    d_n,
     denominator_record,
     l_exponent,
     min_degree_with_l,
@@ -42,10 +41,6 @@ def _parse_runs(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(f"bad run list {text!r}; expected comma-separated integers")
     return runs
-
-
-def _fraction_str(c) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
 def _runs_str(runs: tuple[int, ...]) -> str:
@@ -81,9 +76,9 @@ def _cmd_coeff(args) -> int:
             "a_first": word.a_first,
             "degree": word.degree,
             "method": args.method,
-            "coeff": _fraction_str(c),
+            "coeff": str(c),
         }
-        text = f"{label} method={args.method}\nc = {_fraction_str(c)}"
+        text = f"{label} method={args.method}\nc = {c}"
     _emit(args, payload, text)
     return 0
 
@@ -184,11 +179,11 @@ def _cmd_table(args) -> int:
         for row, c, e, a_hat in table1_computed():
             payload = {
                 "n": row.n, "p": row.p, "l": row.l, "m": row.m,
-                "runs": list(row.runs), "coeff": _fraction_str(c),
+                "runs": list(row.runs), "coeff": str(c),
                 "e": e, "a": a_hat,
             }
             text = (f"n={row.n} p={row.p} l={row.l} m={row.m} "
-                    f"runs={_runs_str(row.runs)} c={_fraction_str(c)} e={e} a={a_hat}")
+                    f"runs={_runs_str(row.runs)} c={c} e={e} a={a_hat}")
             _emit(args, payload, text)
         return 0
     if args.name == "t2":
@@ -205,8 +200,8 @@ def _cmd_table(args) -> int:
                     f"digits={payload['num_digits']}/{payload['den_digits']} "
                     f"e={e} a={a_hat}")
             if not args.digits_only:
-                payload["coeff"] = _fraction_str(c)
-                base += f"\n  c = {_fraction_str(c)}"
+                payload["coeff"] = str(c)
+                base += f"\n  c = {c}"
             _emit(args, payload, base)
         return 0
     # mindegree
@@ -214,11 +209,6 @@ def _cmd_table(args) -> int:
         value = min_degree_with_l(p, l)
         _emit(args, {"p": p, "l": l, "n": value}, f"p={p} l={l} n={value}")
     return 0
-
-
-def _cmd_oracle_check(args) -> int:
-    args.suite = "oracle-agreement"
-    return _cmd_verify(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits-only", action="store_true",
                    help="with t2: omit the full coefficients")
     p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("oracle-check", parents=[shared],
-                       help="compare every route against the series expansion")
-    p.add_argument("--max-n", type=int, default=8)
-    p.set_defaults(func=_cmd_oracle_check)
 
     return parser
 

@@ -49,21 +49,6 @@ def l_exponent(n: int, p: int) -> int:
     return t
 
 
-def d_n(n: int) -> int:
-    """The factorial-free part of the common denominator in degree n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = 1
-    for p in primes_upto(n - 1):
-        out *= p ** l_exponent(n, p)
-    return out
-
-
-def capital_denominator(n: int) -> int:
-    """D_n = n! * d_n, the smallest common denominator in degree n."""
-    return math.factorial(n) * d_n(n)
-
-
 @dataclass(frozen=True)
 class DenominatorRecord:
     """d_n and D_n together with the prime factorization of d_n."""
@@ -85,6 +70,16 @@ def denominator_record(n: int) -> DenominatorRecord:
             factors.append((p, e))
             dn *= p**e
     return DenominatorRecord(n, dn, math.factorial(n) * dn, tuple(factors))
+
+
+def d_n(n: int) -> int:
+    """The factorial-free part of the common denominator in degree n."""
+    return denominator_record(n).dn
+
+
+def capital_denominator(n: int) -> int:
+    """D_n = n! * d_n, the smallest common denominator in degree n."""
+    return denominator_record(n).capital
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:

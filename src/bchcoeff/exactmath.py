@@ -1,11 +1,11 @@
 """Exact integer and rational arithmetic primitives.
 
 Everything in this package runs at arbitrary precision: rationals are
-``fractions.Fraction`` (aliased ``ExactRational``), integers are plain Python
-ints, and nothing ever rounds.  This module collects the small number-theoretic
-helpers the rest of the code leans on: p-adic valuations and digit expansions,
-Legendre's factorial valuation, binomials and their residues via Lucas'
-digitwise product, a prime sieve, modular inverses, and lcm over collections.
+``fractions.Fraction``, integers are plain Python ints, and nothing ever
+rounds.  This module collects the small number-theoretic helpers the rest of
+the code leans on: p-adic valuations and digit expansions, Legendre's
+factorial valuation, binomial residues via Lucas' digitwise product, a prime
+sieve, and modular inverses.
 
 The p-adic valuation of zero is ``PADIC_INFINITY`` (``math.inf``), which
 compares greater than every finite valuation.  It is a distinguished value,
@@ -20,25 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ExactRational",
     "PADIC_INFINITY",
     "PAdicDigits",
-    "binomial",
     "digit_sum",
     "is_prime",
-    "lcm_all",
     "legendre_vp_factorial",
     "lucas_binomial_mod",
     "mod_inverse",
     "padic_digits",
     "primes_upto",
     "rational_from_str",
-    "rational_to_str",
     "require_prime",
     "vp",
 ]
-
-ExactRational = Fraction
 
 PADIC_INFINITY = math.inf
 
@@ -63,11 +57,6 @@ def rational_from_str(text: str) -> Fraction:
     if int(den) == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den))
-
-
-def rational_to_str(x: Fraction | int) -> str:
-    """Format a rational as ``num/den``, or just ``num`` when the denominator is 1."""
-    return str(Fraction(x))
 
 
 def is_prime(n: int) -> bool:
@@ -129,15 +118,6 @@ class PAdicDigits:
         if self.digits and self.digits[-1] == 0:
             raise ValueError("top digit must be nonzero")
 
-    def value(self) -> int:
-        n = 0
-        for a in reversed(self.digits):
-            n = n * self.base + a
-        return n
-
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
 
 def padic_digits(n: int, p: int) -> PAdicDigits:
     """The base-p expansion of a nonnegative integer."""
@@ -169,15 +149,6 @@ def legendre_vp_factorial(n: int, p: int) -> int:
     The division is always exact.
     """
     return (n - digit_sum(n, p)) // (p - 1)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, with value 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def lucas_binomial_mod(n: int, k: int, p: int) -> int:
@@ -216,13 +187,3 @@ def mod_inverse(v: int, p: int) -> int:
     if v % p == 0:
         raise ValueError(f"{v} is not invertible modulo {p}")
     return pow(v, -1, p)
-
-
-def lcm_all(values) -> int:
-    """Least common multiple of a nonempty collection of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("lcm over an empty collection")
-    if any(v < 1 for v in vals):
-        raise ValueError(f"lcm requires positive integers, got {vals}")
-    return math.lcm(*vals)

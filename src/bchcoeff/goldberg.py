@@ -29,13 +29,14 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .denominators import capital_denominator
-from .special import stirling2
+from .special import bernoulli, stirling2
 
 __all__ = [
     "IntegerExactnessError",
     "SERIES_ORACLE_MAX",
     "WordSpec",
     "alg2_table",
+    "bernoulli_binomial_sum",
     "coeff_alg2",
     "coeff_bernoulli_m2",
     "coeff_goldberg_sum",
@@ -163,11 +164,12 @@ def coeff_alg2(word: WordSpec, *, common_denominator: int | None = None) -> Frac
     return Fraction(acc, d)
 
 
-def _validate_runs(runs) -> tuple[int, ...]:
-    q = tuple(int(x) for x in runs)
-    if not q or any(x < 1 for x in q):
-        raise ValueError(f"run lengths must be a nonempty tuple of positive ints: {runs}")
-    return q
+def _tilde_scale(runs: tuple[int, ...]) -> int:
+    """(-1)^n * q_1! * ... * q_m!, the factor between c and its tilde form."""
+    scale = 1
+    for q in runs:
+        scale *= math.factorial(q)
+    return -scale if sum(runs) % 2 else scale
 
 
 def coeff_goldberg_tilde(runs) -> Fraction:
@@ -182,7 +184,7 @@ def coeff_goldberg_tilde(runs) -> Fraction:
     as a factor vanishes.  Equal tuple totals are grouped so the rational part
     touches each total only once.
     """
-    q = _validate_runs(runs)
+    q = WordSpec(True, runs).runs
     m = len(q)
     n = sum(q)
     half = (m - 1) // 2
@@ -225,12 +227,8 @@ def coeff_goldberg_sum(runs) -> Fraction:
 
     The B-first word of the same runs carries the extra sign (-1)^(n+1).
     """
-    q = _validate_runs(runs)
-    n = sum(q)
-    denom = 1
-    for qi in q:
-        denom *= math.factorial(qi)
-    return Fraction(-1 if n % 2 else 1, denom) * coeff_goldberg_tilde(q)
+    q = WordSpec(True, runs).runs
+    return Fraction(1, _tilde_scale(q)) * coeff_goldberg_tilde(q)
 
 
 def coeff_tilde(runs, *, method: str = "alg2") -> Fraction:
@@ -239,23 +237,13 @@ def coeff_tilde(runs, *, method: str = "alg2") -> Fraction:
     The form whose leading p-part the analysis helpers pick apart; kept
     separate because the large-degree checks reason about it directly.
     """
-    q = _validate_runs(runs)
-    n = sum(q)
-    scale = 1
-    for qi in q:
-        scale *= math.factorial(qi)
-    if n % 2:
-        scale = -scale
-    return scale * coeff_word(WordSpec(True, q), method=method)
+    word = WordSpec(True, runs)
+    return _tilde_scale(word.runs) * coeff_word(word, method=method)
 
 
-def coeff_bernoulli_m2(n: int, k: int) -> Fraction:
-    """The two-block coefficient c(n-k, k), i.e. of A^(n-k) B^k, via Bernoulli numbers.
-
-        c(n-k, k) = (-1)^(n+k)/n! * C(n, k) * sum(C(k, j) * B_(n-j), j=1..k)
-    """
-    from .special import bernoulli  # local import keeps module load light
-
+def bernoulli_binomial_sum(n: int, k: int) -> Fraction:
+    """sum(C(k, j) * B_(n-j) for j = 1..k), the Bernoulli part of the
+    two-block coefficient."""
     if n < 2:
         raise ValueError(f"two-block words need degree >= 2, got n={n}")
     if not 1 <= k <= n - 1:
@@ -263,6 +251,15 @@ def coeff_bernoulli_m2(n: int, k: int) -> Fraction:
     total = Fraction(0)
     for j in range(1, k + 1):
         total += math.comb(k, j) * bernoulli(n - j)
+    return total
+
+
+def coeff_bernoulli_m2(n: int, k: int) -> Fraction:
+    """The two-block coefficient c(n-k, k), i.e. of A^(n-k) B^k, via Bernoulli numbers.
+
+        c(n-k, k) = (-1)^(n+k)/n! * C(n, k) * bernoulli_binomial_sum(n, k)
+    """
+    total = bernoulli_binomial_sum(n, k)
     sign = 1 if (n + k) % 2 == 0 else -1
     return Fraction(sign * math.comb(n, k), math.factorial(n)) * total
 
@@ -275,22 +272,19 @@ def coeff_word(word: WordSpec, *, method: str = "alg2") -> Fraction:
     """
     if method == "alg2":
         return coeff_alg2(word)
+    if method == "oracle":
+        return series_oracle(word.degree)[word.letters()]
     if method == "goldberg":
         c = coeff_goldberg_sum(word.runs)
-        if word.a_first or word.degree % 2 == 1:
-            return c
-        return -c
-    if method == "bernoulli":
+    elif method == "bernoulli":
         if len(word.runs) != 2:
             raise ValueError("the bernoulli backend needs a two-block word")
         q1, q2 = word.runs
         c = coeff_bernoulli_m2(q1 + q2, q2)
-        if word.a_first or word.degree % 2 == 1:
-            return c
-        return -c
-    if method == "oracle":
-        return series_oracle(word.degree)[word.letters()]
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    # both routes give the A-first word; swapping the letters costs (-1)^(n+1)
+    return c if word.a_first or word.degree % 2 else -c
 
 
 @lru_cache(maxsize=None)

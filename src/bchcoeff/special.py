@@ -15,7 +15,7 @@ import math
 import threading
 from fractions import Fraction
 
-__all__ = ["bernoulli", "bernoulli_table", "stirling2", "stirling2_from_sum"]
+__all__ = ["bernoulli", "stirling2", "stirling2_from_sum"]
 
 _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
@@ -37,12 +37,6 @@ def bernoulli(n: int) -> Fraction:
                 acc = sum(math.comb(m + 1, k) * _bernoulli[k] for k in range(m))
                 _bernoulli.append(-acc / (m + 1))
     return _bernoulli[n]
-
-
-def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
-    """Bernoulli numbers B_0 .. B_n_max as an immutable table."""
-    bernoulli(n_max)
-    return tuple(_bernoulli[: n_max + 1])
 
 
 def stirling2(q: int, j: int) -> int:

@@ -4,7 +4,7 @@ Each suite recomputes a family of claims and emits line-oriented
 ``CheckRecord`` results (one claim per record: claim id, inputs, expected,
 actual, pass/fail).  The CLI exposes them through ``verify --suite``; the
 acceptance tests run the same code.  Suites are deterministic: records come
-out in a fixed order regardless of worker counts.
+out in a fixed order.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from functools import lru_cache
 from itertools import permutations
 
 from .analysis import (
-    bernoulli_binomial_sum,
     bernoulli_sum_residue,
     brute_lcm_degree,
     expected_a,
     extract_leading,
     lemma3_sides,
     Lemma3Class,
-    max_vp_degree,
     q_set,
 )
 from .denominators import (
@@ -46,10 +44,12 @@ from .exactmath import (
 )
 from .goldberg import (
     WordSpec,
+    _tilde_scale,
+    bernoulli_binomial_sum,
     coeff_alg2,
     coeff_bernoulli_m2,
     coeff_goldberg_sum,
-    coeff_tilde,
+    coeff_word,
     series_oracle,
 )
 from .refdata import (
@@ -170,9 +170,7 @@ def suite_oracle_agreement(max_n: int | None = None) -> list[CheckRecord]:
         for word in _words_of_degree(n):
             reference = oracle[word.letters()]
             a = coeff_alg2(word, common_denominator=d)
-            g = coeff_goldberg_sum(word.runs)
-            if not word.a_first and n % 2 == 0:
-                g = -g
+            g = coeff_word(word, method="goldberg")
             if a != reference or g != reference:
                 bad.append(word.letters())
         _ok(records, "three-route-agreement", f"degree={n} words={1 << n}",
@@ -242,10 +240,12 @@ def suite_lcm_brute(max_n: int | None = None) -> list[CheckRecord]:
     bound = 12 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(1, bound + 1):
-        _eq(records, "degree-lcm", f"n={n}", capital_denominator(n), brute_lcm_degree(n))
+        brute = brute_lcm_degree(n)
+        _eq(records, "degree-lcm", f"n={n}", capital_denominator(n), brute)
+        # the largest v_p over a set of denominators is v_p of their lcm
         for p in primes_upto(n - 1):
             _eq(records, "degree-max-valuation", f"n={n} p={p}",
-                legendre_vp_factorial(n, p) + l_exponent(n, p), max_vp_degree(n, p))
+                legendre_vp_factorial(n, p) + l_exponent(n, p), vp(brute, p))
     return records
 
 
@@ -457,34 +457,30 @@ def suite_bernoulli_sum(max_n: int | None = None) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # reference-table suites
 
+def _reference_row(row):
+    """(row, coeff, e, a_hat): one alg2 run, and the leading part of its
+    tilde form at row.p."""
+    c = coeff_alg2(WordSpec(True, row.runs))
+    lt = extract_leading(_tilde_scale(row.runs) * c, row.p)
+    return row, c, lt.e, lt.a_hat
+
+
 @lru_cache(maxsize=None)
 def table1_computed():
     """The seven worked p=7 rows, recomputed: (row, coeff, e, a_hat)."""
-    out = []
-    for row in TABLE1:
-        c = coeff_alg2(WordSpec(True, row.runs))
-        lt = extract_leading(coeff_tilde(row.runs), row.p)
-        out.append((row, c, lt.e, lt.a_hat))
-    return tuple(out)
+    return tuple(_reference_row(row) for row in TABLE1)
 
 
 @lru_cache(maxsize=None)
 def table2_computed():
     """The three large-degree rows, recomputed: (row, coeff, e, a_hat).
 
-    Minutes of big-integer work; cached per process.
+    About ten seconds of big-integer work on one core; cached per process.
     """
     out = []
     for row in TABLE2:
         _progress(f"computing degree-{row.n} coefficient ({len(row.runs)} blocks) ...")
-        c = coeff_alg2(WordSpec(True, row.runs))
-        scale = 1
-        for q in row.runs:
-            scale *= math.factorial(q)
-        if row.n % 2:
-            scale = -scale
-        lt = extract_leading(scale * c, row.p)
-        out.append((row, c, lt.e, lt.a_hat))
+        out.append(_reference_row(row))
     return tuple(out)
 
 

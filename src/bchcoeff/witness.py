@@ -124,8 +124,15 @@ def power_branch_runs(n: int, p: int, l: int, m: int) -> tuple[int, ...]:
         powers.extend([value] * a)
         value *= p
     runs = (sum(powers[m - 1 :]), *reversed(powers[: m - 1]))
-    assert runs[0] >= p
-    assert sum(digit_sum(q, p) for q in runs) == s
+    if runs[0] < p:
+        raise ArithmeticError(
+            f"power_branch_runs({n}, {p}, {l}, {m}): first run {runs[0]} is below p"
+        )
+    if sum(digit_sum(q, p) for q in runs) != s:
+        raise ArithmeticError(
+            f"power_branch_runs({n}, {p}, {l}, {m}): digit sums of runs {runs} "
+            f"do not add up to {s}"
+        )
     return runs
 
 

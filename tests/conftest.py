@@ -11,10 +11,6 @@ import pytest
 
 ACCEPTANCE_LINES = []
 
-# criterion id -> True once its computation ran to completion (no exactness
-# errors escaped); the integer-exactness criterion reads this back
-COMPLETED = {}
-
 
 def record(criterion: str, text: str, ok: bool, elapsed: float) -> str:
     line = f"[{criterion}] {text}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)"

@@ -6,22 +6,19 @@ import pytest
 
 from bchcoeff.analysis import (
     BRUTE_DEGREE_MAX,
-    JOBS_ENV_VAR,
     Lemma3Class,
     Partition,
     QSET_DEGREE_MAX,
-    bernoulli_binomial_sum,
     bernoulli_sum_residue,
     brute_lcm_degree,
     expected_a,
     extract_leading,
     lemma3_sides,
-    max_vp_degree,
     q_set,
 )
 from bchcoeff.denominators import capital_denominator
 from bchcoeff.exactmath import PADIC_INFINITY, vp
-from bchcoeff.goldberg import coeff_tilde
+from bchcoeff.goldberg import bernoulli_binomial_sum, coeff_tilde
 from bchcoeff.special import bernoulli
 
 
@@ -123,17 +120,16 @@ class TestBruteSweeps:
             assert brute_lcm_degree(n) == capital_denominator(n)
 
     def test_max_vp(self):
-        assert max_vp_degree(2, 2) == 1
-        assert max_vp_degree(3, 2) == 2
-        assert max_vp_degree(4, 3) == 1
+        # the largest v_p over the degree-n denominators is v_p of their lcm
+        assert vp(brute_lcm_degree(2), 2) == 1
+        assert vp(brute_lcm_degree(3), 2) == 2
+        assert vp(brute_lcm_degree(4), 3) == 1
 
     def test_guards(self):
         with pytest.raises(ValueError):
             brute_lcm_degree(BRUTE_DEGREE_MAX + 1)
         with pytest.raises(ValueError):
             brute_lcm_degree(0)
-        with pytest.raises(ValueError):
-            max_vp_degree(20, 2)
 
 
 class TestPartitionType:
@@ -163,15 +159,6 @@ class TestQSet:
     def test_methods_agree(self):
         for n, p in ((9, 3), (10, 2), (12, 2)):
             assert q_set(n, p, method="alg2") == q_set(n, p, method="goldberg")
-
-    def test_explicit_jobs(self):
-        assert q_set(12, 2, jobs=2) == q_set(12, 2, jobs=1)
-
-    def test_jobs_env_var(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        assert tuple(q.parts for q in q_set(10, 2)) == tuple(
-            q.parts for q in q_set(10, 2, jobs=1)
-        )
 
     def test_guards(self):
         with pytest.raises(ValueError):

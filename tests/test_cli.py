@@ -1,8 +1,15 @@
 import json
+import pathlib
 
 import pytest
 
 from bchcoeff.cli import run
+
+# stdout, stderr and exit status of fast commands, captured once; any byte
+# of difference is a behaviour change
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
 
 
 def lines_of(capsys):
@@ -232,14 +239,6 @@ class TestTableCommand:
         assert "p=5 l=2 n=31249" in out
 
 
-class TestOracleCheck:
-    def test_small(self, capsys):
-        assert run(["oracle-check", "--max-n", "4"]) == 0
-        out, err = lines_of(capsys)
-        assert out.count("three-route-agreement") == 4
-        assert "4/4 checks passed" in err
-
-
 class TestParser:
     def test_no_command(self):
         with pytest.raises(SystemExit):
@@ -249,3 +248,11 @@ class TestParser:
         assert run(["denom", "--n", "5", "--json"]) == 0
         out, _ = lines_of(capsys)
         assert json.loads(out)["d_n"] == 6
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(case, capsys):
+    assert run(case["argv"]) == case["exit"]
+    out, err = lines_of(capsys)
+    assert out == case["stdout"]
+    assert err == case["stderr"]

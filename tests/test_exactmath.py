@@ -7,17 +7,14 @@ import pytest
 from bchcoeff.exactmath import (
     PADIC_INFINITY,
     PAdicDigits,
-    binomial,
     digit_sum,
     is_prime,
-    lcm_all,
     legendre_vp_factorial,
     lucas_binomial_mod,
     mod_inverse,
     padic_digits,
     primes_upto,
     rational_from_str,
-    rational_to_str,
     require_prime,
     vp,
 )
@@ -35,14 +32,9 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             rational_from_str(bad)
 
-    def test_format(self):
-        assert rational_to_str(Fraction(-1, 2)) == "-1/2"
-        assert rational_to_str(Fraction(4, 2)) == "2"
-        assert rational_to_str(5) == "5"
-
     def test_round_trip(self):
         for x in (Fraction(3, 7), Fraction(-22, 9), Fraction(0), Fraction(17)):
-            assert rational_from_str(rational_to_str(x)) == x
+            assert rational_from_str(str(x)) == x
 
 
 class TestPrimes:
@@ -93,21 +85,25 @@ class TestValuation:
             assert vp(x * y, p) == vp(x, p) + vp(y, p)
 
 
+def _digits_value(d: PAdicDigits) -> int:
+    return sum(a * d.base**i for i, a in enumerate(d.digits))
+
+
 class TestDigits:
     def test_expansion(self):
         d = padic_digits(26, 7)
         assert d.digits == (5, 3)
-        assert d.value() == 26
-        assert d.digit_sum() == 8
+        assert _digits_value(d) == 26
+        assert sum(d.digits) == 8
 
     def test_zero(self):
         assert padic_digits(0, 3).digits == ()
-        assert padic_digits(0, 3).value() == 0
+        assert _digits_value(padic_digits(0, 3)) == 0
 
     def test_round_trip(self):
         for n in range(0, 300):
             for p in (2, 3, 7):
-                assert padic_digits(n, p).value() == n
+                assert _digits_value(padic_digits(n, p)) == n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,14 +146,6 @@ class TestLegendre:
 
 
 class TestBinomials:
-    def test_binomial(self):
-        assert binomial(5, 2) == 10
-        assert binomial(5, 7) == 0
-        assert binomial(5, -1) == 0
-        assert binomial(0, 0) == 1
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
     def test_lucas_example(self):
         # digits of 26 in base 7 are (5, 3), of 12 are (5, 1):
         # C(3,1) * C(5,5) = 3
@@ -189,12 +177,3 @@ class TestModular:
             mod_inverse(14, 7)
         with pytest.raises(ValueError):
             mod_inverse(3, 8)
-
-    def test_lcm_all(self):
-        assert lcm_all([4, 6]) == 12
-        assert lcm_all([5]) == 5
-        assert lcm_all(range(1, 11)) == 2520
-        with pytest.raises(ValueError):
-            lcm_all([])
-        with pytest.raises(ValueError):
-            lcm_all([4, 0])

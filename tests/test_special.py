@@ -1,10 +1,11 @@
+import math
 import threading
 from fractions import Fraction
 
 import pytest
 
 from bchcoeff.exactmath import primes_upto
-from bchcoeff.special import bernoulli, bernoulli_table, stirling2, stirling2_from_sum
+from bchcoeff.special import bernoulli, stirling2, stirling2_from_sum
 
 
 KNOWN_BERNOULLI = {
@@ -33,17 +34,9 @@ class TestBernoulli:
 
     def test_recurrence_identity(self):
         # sum(C(n+1, k) B_k, k=0..n) == 0 for n >= 1
-        import math
-
         for n in range(1, 40):
             total = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
             assert total == 0
-
-    def test_table(self):
-        table = bernoulli_table(12)
-        assert len(table) == 13
-        assert table[12] == Fraction(-691, 2730)
-        assert isinstance(table, tuple)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -62,8 +55,6 @@ class TestBernoulli:
 def brute_stirling(q: int, j: int) -> int:
     """Number of ways to assign q labeled items onto exactly j unlabeled
     nonempty blocks, via surjection counting: j! S(q, j) = surjections."""
-    import math
-
     if j > q:
         return 0
     surjections = sum(
@@ -83,18 +74,14 @@ class TestStirling:
         assert stirling2(9, 10) == 0
 
     def test_against_direct_count(self):
-        # independent direct enumeration: place each item into one of j block
-        # slots, keep assignments using every slot, divide by slot orderings
-        import math
-        from itertools import product
-
+        # independent direct enumeration of every set partition of q items as
+        # a restricted growth string: item i joins a block opened by an
+        # earlier item or opens the next one; S(q, j) counts those with j blocks
+        strings = [()]
         for q in range(1, 9):
+            strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
             for j in range(1, q + 1):
-                used_all = 0
-                for assign in product(range(j), repeat=q):
-                    if len(set(assign)) == j:
-                        used_all += 1
-                assert stirling2(q, j) == used_all // math.factorial(j)
+                assert stirling2(q, j) == sum(1 for s in strings if max(s) + 1 == j)
 
     def test_two_routes_agree(self):
         for q in range(1, 41):
@@ -118,10 +105,11 @@ class TestStirling:
 class TestThreadSafety:
     def test_concurrent_fill(self):
         errors = []
+        values = []
 
         def worker():
             try:
-                assert bernoulli(180) == bernoulli_table(180)[180]
+                values.append(bernoulli(180))
                 assert stirling2(150, 70) == stirling2_from_sum(150, 70)
             except Exception as exc:  # pragma: no cover - only on failure
                 errors.append(exc)
@@ -132,3 +120,9 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not errors
+        # von Staudt-Clausen: the denominator is the product of the primes p
+        # with (p - 1) | 180
+        assert len(set(values)) == 1
+        assert values[0].denominator == math.prod(
+            p for p in primes_upto(181) if 180 % (p - 1) == 0
+        )
