@@ -23,7 +23,7 @@ from .exactmath import (
     require_prime,
     vp,
 )
-from .goldberg import WordSpec, coeff_alg2, coeff_goldberg_sum, series_oracle
+from .goldberg import WordSpec, _partition_coeffs, coeff_alg2, series_oracle
 
 __all__ = [
     "BRUTE_DEGREE_MAX",
@@ -162,12 +162,14 @@ class Partition:
         return sum(self.parts)
 
 
-def q_set(n: int, p: int, *, method: str = "alg2") -> tuple[Partition, ...]:
+def q_set(n: int, p: int, *, method: str = "goldberg") -> tuple[Partition, ...]:
     """Every descending partition of n whose A-first word attains the extreme
     denominator valuation v_p(n!) + l(n, p).
 
-    Exhaustive over all partitions of n, in reverse-lexicographic order.  The
-    common denominator n! * d_n is computed once and shared.
+    Exhaustive over all partitions of n, in reverse-lexicographic order.
+    "goldberg" walks the partition tree sharing each prefix's polynomial
+    product; "alg2" runs the integer recurrences on every partition with the
+    common denominator n! * d_n computed once, as an independent cross-check.
     """
     require_prime(p)
     if not 1 <= n <= QSET_DEGREE_MAX:
@@ -175,18 +177,13 @@ def q_set(n: int, p: int, *, method: str = "alg2") -> tuple[Partition, ...]:
     if method not in ("alg2", "goldberg"):
         raise ValueError(f"method must be 'alg2' or 'goldberg', got {method!r}")
     target = legendre_vp_factorial(n, p) + l_exponent(n, p)
-    all_parts = list(partitions(n))
     if method == "goldberg":
-        valuations = [vp(coeff_goldberg_sum(parts).denominator, p) for parts in all_parts]
+        coeffs = _partition_coeffs(n)
     else:
         d = capital_denominator(n)
-        valuations = [
-            vp(coeff_alg2(WordSpec(True, parts), common_denominator=d).denominator, p)
-            for parts in all_parts
-        ]
-    return tuple(
-        Partition(parts) for parts, v in zip(all_parts, valuations) if v == target
-    )
+        coeffs = [(parts, coeff_alg2(WordSpec(True, parts), common_denominator=d))
+                  for parts in partitions(n)]
+    return tuple(Partition(parts) for parts, c in coeffs if vp(c.denominator, p) == target)
 
 
 class Lemma3Class(Enum):

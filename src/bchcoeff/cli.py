@@ -20,7 +20,7 @@ from .denominators import (
     min_degree_with_l,
 )
 from .exactmath import legendre_vp_factorial, vp
-from .goldberg import METHODS, WordSpec, coeff_alg2, coeff_word
+from .goldberg import METHODS, WordSpec, coeff_word
 from .refdata import DN_REFERENCE, MIN_DEGREE_REFERENCE
 from .verify import run_suite, suite_names, table1_computed, table2_computed
 from .witness import witness_runs
@@ -107,7 +107,7 @@ def _cmd_denom(args) -> int:
 def _cmd_witness(args) -> int:
     w = witness_runs(args.n, args.p)
     print(f"computing the degree-{args.n} coefficient ...", file=sys.stderr, flush=True)
-    c = coeff_alg2(w.word)
+    c = coeff_word(w.word)
     valuation = vp(c.denominator, args.p)
     target = legendre_vp_factorial(args.n, args.p) + w.l
     ok = valuation == target
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", help="run lengths, e.g. 14,12")
     p.add_argument("--b-first", action="store_true",
                    help="with --runs: the word starts with B")
-    p.add_argument("--method", choices=METHODS, default="alg2")
+    p.add_argument("--method", choices=METHODS, default="goldberg")
     p.add_argument("--digits-only", action="store_true",
                    help="print size and sign instead of the full rational")
     p.set_defaults(func=_cmd_coeff)
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="all partitions attaining the extreme valuation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--method", choices=("alg2", "goldberg"), default="alg2")
+    p.add_argument("--method", choices=("alg2", "goldberg"), default="goldberg")
     p.set_defaults(func=_cmd_qset)
 
     p = sub.add_parser("lcm", parents=[shared],

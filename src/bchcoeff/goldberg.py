@@ -6,12 +6,15 @@ rational with denominator dividing n! * d_n.
 
 Routes, from fastest to most naive:
 
-* ``coeff_alg2`` -- scaled integer recurrences over a triangular table.  All
+* ``coeff_goldberg_sum`` -- Goldberg's double sum over index tuples, folded
+  into a product of one polynomial per block (factorials and Stirling numbers
+  of the second kind) and a closed-form k-sum.  The default of ``coeff_word``,
+  ``coeff_tilde`` and ``analysis.q_set``.
+* ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
+  table, O(n^3) big-integer work, kept as the independent cross-check.  All
   intermediate values are integers by construction; every division is checked
   and a remainder raises ``IntegerExactnessError``, since a single remainder
   would falsify the scaling claim the whole route rests on.
-* ``coeff_goldberg_sum`` -- the explicit double sum over index tuples with
-  factorials and Stirling numbers of the second kind.
 * ``coeff_bernoulli_m2`` -- two-block words A^(n-k) B^k via Bernoulli numbers.
 * ``series_oracle`` -- brute-force expansion of log(e^A e^B) through a given
   degree.  Slow and memory-hungry on purpose: it is the reference the other
@@ -32,6 +35,8 @@ from .denominators import capital_denominator
 from .special import bernoulli, stirling2
 
 __all__ = [
+    "ALG2_DEGREE_MAX",
+    "COEFF_DEGREE_MAX",
     "IntegerExactnessError",
     "SERIES_ORACLE_MAX",
     "WordSpec",
@@ -48,6 +53,10 @@ __all__ = [
 
 # the oracle materializes every word of length <= N: 2^(N+1) - 2 entries
 SERIES_ORACLE_MAX = 16
+# one coefficient of the worst shape (two equal blocks) at each limit takes
+# about 9 s of CPU on one core, Python 3.11
+ALG2_DEGREE_MAX = 270
+COEFF_DEGREE_MAX = 1100
 
 METHODS = ("alg2", "goldberg", "bernoulli", "oracle")
 
@@ -107,6 +116,8 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     e^A e^B - 1, of the length-n tail of the word; table[n][n] == d always.
     """
     n_total = word.degree
+    if n_total > ALG2_DEGREE_MAX:
+        raise ValueError(f"alg2 degree guard: degree <= {ALG2_DEGREE_MAX}, got {n_total}")
     d = capital_denominator(n_total) if common_denominator is None else common_denominator
     runs = word.runs
     m = len(runs)
@@ -172,54 +183,76 @@ def _tilde_scale(runs: tuple[int, ...]) -> int:
     return -scale if sum(runs) % 2 else scale
 
 
-def coeff_goldberg_tilde(runs) -> Fraction:
-    """The factorial-scaled A-first coefficient as an explicit double sum.
+@lru_cache(maxsize=None)
+def _block_poly(q: int) -> tuple[int, ...]:
+    """P_q(x) = sum((-1)^j j! S(q, j) x^j for j = 1..q), lowest power first."""
+    return (0, *((-1) ** j * math.factorial(j) * stirling2(q, j) for j in range(1, q + 1)))
 
-    With t = j_1 + ... + j_m running over all index tuples 1 <= j_i <= q_i:
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _k_sum_numerator(poly, m: int, n: int) -> int:
+    """n! times the tilde coefficient whose m blocks multiply to ``poly``.
+
+    With h = (m-1)//2, the k-sum over each total t >= m > h has the closed
+    form sum((-1)^k C(h, k) / (t-k) for k = 0..h) = (-1)^h h! (t-h-1)! / t!,
+    and n!/t! is an integer, so the whole sum sits over n!.
+    """
+    h = (m - 1) // 2
+    acc = sum(poly[t] * math.factorial(t - h - 1) * math.perm(n, n - t) for t in range(m, n + 1))
+    return (-1) ** h * math.factorial(h) * acc
+
+
+def coeff_goldberg_tilde(runs) -> Fraction:
+    """The factorial-scaled A-first coefficient by Goldberg's double sum.
+
+    With t = j_1 + ... + j_m over all index tuples 1 <= j_i <= q_i:
 
         sum over tuples and 0 <= k <= (m-1)//2 of
             (-1)^(t-k) C((m-1)//2, k) j_1! ... j_m! S(q_1,j_1) ... S(q_m,j_m) / (t-k)
 
-    Tuples are walked by an odometer; the running product is dropped as soon
-    as a factor vanishes.  Equal tuple totals are grouped so the rational part
-    touches each total only once.
+    The signed tuple products of total t add up to the x^t coefficient of
+    the block polynomials' product P_q1(x) ... P_qm(x), and the k-sum has a
+    closed form, so the result is one integer over n!.
     """
     q = WordSpec(True, runs).runs
-    m = len(q)
     n = sum(q)
-    half = (m - 1) // 2
-    fact = [math.factorial(t) for t in range(max(q) + 1)]
-    # by_total[t] accumulates (-1)^t * sum of products over tuples with sum t
-    by_total = [0] * (n + 1)
-    j = [1] * m
-    while True:
-        t = 0
-        prod = 1
-        for qi, ji in zip(q, j):
-            s = stirling2(qi, ji)
-            if s == 0:
-                prod = 0
-                break
-            prod *= fact[ji] * s
-            t += ji
-        if prod:
-            by_total[t] += prod if t % 2 == 0 else -prod
-        pos = 0
-        while pos < m and j[pos] == q[pos]:
-            j[pos] = 1
-            pos += 1
-        if pos == m:
-            break
-        j[pos] += 1
-    total = Fraction(0)
-    for t in range(m, n + 1):
-        if by_total[t]:
-            k_sum = Fraction(0)
-            for k in range(half + 1):
-                term = Fraction(math.comb(half, k), t - k)
-                k_sum += term if k % 2 == 0 else -term
-            total += by_total[t] * k_sum
-    return total
+    if n > COEFF_DEGREE_MAX:
+        raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
+    poly = [1]
+    for qi in q:
+        poly = _poly_mul(poly, _block_poly(qi))
+    return Fraction(_k_sum_numerator(poly, len(q), n), math.factorial(n))
+
+
+def _partition_coeffs(n: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(parts, c) for every descending partition of n, in reverse-lexicographic
+    order, where c is the coefficient of the A-first word with those runs.
+
+    A depth-first walk: partitions sharing a prefix share its polynomial
+    product, so each tree edge costs one multiplication by a block polynomial.
+    """
+    fact_n = math.factorial(n)
+    out = []
+
+    def walk(parts, poly, remaining):
+        if not remaining:
+            num = _k_sum_numerator(poly, len(parts), n)
+            out.append((parts, Fraction(num, fact_n * _tilde_scale(parts))))
+            return
+        for q in range(min(remaining, parts[-1] if parts else n), 0, -1):
+            walk(parts + (q,), _poly_mul(poly, _block_poly(q)), remaining - q)
+
+    walk((), [1], n)
+    return out
 
 
 def coeff_goldberg_sum(runs) -> Fraction:
@@ -231,7 +264,7 @@ def coeff_goldberg_sum(runs) -> Fraction:
     return Fraction(1, _tilde_scale(q)) * coeff_goldberg_tilde(q)
 
 
-def coeff_tilde(runs, *, method: str = "alg2") -> Fraction:
+def coeff_tilde(runs, *, method: str = "goldberg") -> Fraction:
     """(-1)^n * q_1! * ... * q_m! times the A-first coefficient.
 
     The form whose leading p-part the analysis helpers pick apart; kept
@@ -264,7 +297,7 @@ def coeff_bernoulli_m2(n: int, k: int) -> Fraction:
     return Fraction(sign * math.comb(n, k), math.factorial(n)) * total
 
 
-def coeff_word(word: WordSpec, *, method: str = "alg2") -> Fraction:
+def coeff_word(word: WordSpec, *, method: str = "goldberg") -> Fraction:
     """Coefficient of an arbitrary word; ``method`` forces a backend.
 
     "bernoulli" only covers two-block words; "oracle" is limited to degree

@@ -510,7 +510,7 @@ def suite_table1(max_n: int | None = None) -> list[CheckRecord]:
 
 def suite_table2(max_n: int | None = None) -> list[CheckRecord]:
     """Large-degree extreme words: size of the reduced coefficient and its
-    leading p-part."""
+    leading p-part, and the alg2 value against the Goldberg product route."""
     del max_n
     records: list[CheckRecord] = []
     for row, c, e, a_hat in table2_computed():
@@ -525,6 +525,7 @@ def suite_table2(max_n: int | None = None) -> list[CheckRecord]:
             legendre_vp_factorial(row.n, row.p) + row.l, vp(c.denominator, row.p))
         _eq(records, "large-degree-predicted-residue", inputs,
             expected_a(row.n, row.p, row.m), a_hat)
+        _eq(records, "large-degree-cross-route", inputs, c, coeff_goldberg_sum(row.runs))
     return records
 
 

@@ -157,8 +157,9 @@ class TestQSet:
         assert tuple(q.parts for q in q_set(15, 2)) == ((8, 4, 2, 1),)
 
     def test_methods_agree(self):
-        for n, p in ((9, 3), (10, 2), (12, 2)):
-            assert q_set(n, p, method="alg2") == q_set(n, p, method="goldberg")
+        for n in range(1, 21):
+            for p in (2, 3, 5):
+                assert q_set(n, p, method="alg2") == q_set(n, p, method="goldberg"), (n, p)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from bchcoeff.cli import run
+from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX
 
 # stdout, stderr and exit status of fast commands, captured once; any byte
 # of difference is a behaviour change
@@ -75,6 +76,13 @@ class TestCoeff:
     def test_bad_word(self, capsys):
         assert run(["coeff", "--word", "ABC"]) == 2
 
+    def test_degree_guards(self, capsys):
+        for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX)):
+            assert run(["coeff", "--runs", f"{limit},1", "--method", method]) == 2
+            out, err = lines_of(capsys)
+            assert out == ""
+            assert err.startswith("error:") and str(limit) in err
+
     def test_oracle_guard(self, capsys):
         assert run(["coeff", "--runs", "20,20", "--method", "oracle"]) == 2
         _, err = lines_of(capsys)
@@ -135,6 +143,11 @@ class TestWitness:
 
     def test_rejects_nonprime(self, capsys):
         assert run(["witness", "--n", "26", "--p", "4"]) == 2
+
+    def test_beyond_the_alg2_limit(self, capsys):
+        assert run(["witness", "--n", f"{ALG2_DEGREE_MAX + 30}", "--p", "2"]) == 0
+        out, _ = lines_of(capsys)
+        assert out.strip().endswith("PASS")
 
 
 class TestVerifyCommand:

@@ -6,6 +6,8 @@ import pytest
 
 from bchcoeff.denominators import capital_denominator
 from bchcoeff.goldberg import (
+    ALG2_DEGREE_MAX,
+    COEFF_DEGREE_MAX,
     IntegerExactnessError,
     METHODS,
     SERIES_ORACLE_MAX,
@@ -113,6 +115,30 @@ class TestGoldbergRoute:
             coeff_goldberg_sum(())
         with pytest.raises(ValueError):
             coeff_goldberg_sum((2, 0))
+
+
+class TestDegreeGuards:
+    def test_limits_cover_the_reference_rows(self):
+        assert 255 <= ALG2_DEGREE_MAX < COEFF_DEGREE_MAX
+
+    def test_alg2_guard(self):
+        word = WordSpec(True, (ALG2_DEGREE_MAX, 1))
+        with pytest.raises(ValueError, match=str(ALG2_DEGREE_MAX)):
+            coeff_alg2(word)
+        with pytest.raises(ValueError, match=str(ALG2_DEGREE_MAX)):
+            alg2_table(word)
+
+    def test_goldberg_guard(self):
+        runs = (COEFF_DEGREE_MAX, 1)
+        with pytest.raises(ValueError, match=str(COEFF_DEGREE_MAX)):
+            coeff_goldberg_sum(runs)
+        with pytest.raises(ValueError, match=str(COEFF_DEGREE_MAX)):
+            coeff_word(WordSpec(False, runs))
+
+    def test_the_limit_itself_is_allowed(self):
+        # the cheapest shape at that degree: alternating single letters
+        c = coeff_goldberg_sum((1,) * COEFF_DEGREE_MAX)
+        assert capital_denominator(COEFF_DEGREE_MAX) % c.denominator == 0
 
 
 class TestBernoulliRoute:

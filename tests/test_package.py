@@ -1,9 +1,12 @@
 """Properties of the package as a whole rather than of one module."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import bchcoeff
 
@@ -28,3 +31,16 @@ def test_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE_DIR.parent)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("suite_args", [
+    ["--suite", "table1"],
+    ["--suite", "oracle-agreement", "--max-n", "8"],
+])
+def test_verify_under_optimize(suite_args):
+    # python -O strips asserts; every check must still run and pass
+    out = subprocess.run([sys.executable, "-O", "-m", "bchcoeff", "--json", "verify", *suite_args],
+                         capture_output=True, text=True, cwd=PACKAGE_DIR.parent, timeout=120)
+    assert out.returncode == 0, out.stderr
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert records and all(record["pass"] for record in records)
