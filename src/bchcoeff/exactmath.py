@@ -14,6 +14,7 @@ not a large sentinel integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -178,7 +179,7 @@ def primes_upto(n: int) -> list[int]:
     for q in range(2, math.isqrt(n) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
-    return [q for q in range(2, n + 1) if sieve[q]]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def mod_inverse(v: int, p: int) -> int:

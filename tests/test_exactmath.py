@@ -55,7 +55,7 @@ class TestPrimes:
         assert primes_upto(1) == []
         assert primes_upto(2) == [2]
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        for bound in (100, 500):
+        for bound in (0, 3, 4, 49, 100, 121, 500, 2000):
             assert primes_upto(bound) == [n for n in range(bound + 1) if is_prime(n)]
 
 

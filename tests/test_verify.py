@@ -1,8 +1,16 @@
 import json
+import math
 
 import pytest
 
-from bchcoeff.verify import SUITES, CheckRecord, run_suite, suite_names
+import bchcoeff.verify
+from bchcoeff.verify import (
+    SUITES,
+    CheckRecord,
+    _square_prime_factors,
+    run_suite,
+    suite_names,
+)
 
 
 EXPECTED_SUITES = {
@@ -72,3 +80,29 @@ class TestRunning:
         wide = run_suite("dn-list", 50)
         narrow = run_suite("dn-list", 30)
         assert len(wide) == len(narrow) + 20
+
+
+class TestBernoulliSquarefree:
+    @pytest.mark.parametrize("m, expected", [
+        (1, []),
+        (4, [2]),
+        (61 * 61, [61]),  # p == isqrt(m): the sieve bound must include it
+        (2 * 2 * 3 * 3 * 5, [2, 3]),
+        (56786730, []),  # denominator of B_60
+        (7919, []),
+    ])
+    def test_square_prime_factors(self, m, expected):
+        assert _square_prime_factors(m) == expected
+
+    def test_sieve_stops_at_square_root(self, monkeypatch):
+        seen = []
+        sieve = bchcoeff.verify.primes_upto
+
+        def recording(n):
+            seen.append(n)
+            return sieve(n)
+
+        monkeypatch.setattr(bchcoeff.verify, "primes_upto", recording)
+        records = run_suite("bernoulli-vsc")
+        assert records and all(r.passed for r in records)
+        assert max(seen) <= math.isqrt(56786730)
