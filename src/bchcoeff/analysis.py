@@ -151,9 +151,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
-        if not self.parts or any(x < 1 for x in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
+        # the run lengths of a word: nonempty positive integers
+        object.__setattr__(self, "parts", WordSpec(True, self.parts).runs)
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {self.parts}")
 

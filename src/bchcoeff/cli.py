@@ -3,7 +3,7 @@
 Results go to stdout; progress and diagnostics go to stderr.  With --json,
 results are emitted as one JSON object per line instead of prose.  Exit
 status: 0 on success, 1 when a verification-style command finds failures,
-2 on bad usage or a guard violation.
+2 on bad usage, a guard violation, or a verify run that checks nothing.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     records = run_suite(args.suite, args.max_n)
+    if not records:
+        raise ValueError(f"suite {args.suite} ran no checks with --max-n {args.max_n}")
     for rec in records:
         if args.json:
             print(json.dumps(rec.as_dict()))

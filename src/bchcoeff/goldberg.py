@@ -6,10 +6,10 @@ rational with denominator dividing n! * d_n.
 
 Routes, from fastest to most naive:
 
-* ``coeff_goldberg_sum`` -- Goldberg's double sum over index tuples, folded
+* ``coeff_tilde`` and ``coeff_goldberg_sum`` -- Goldberg's double sum folded
   into a product of one polynomial per block (factorials and Stirling numbers
-  of the second kind) and a closed-form k-sum.  The default of ``coeff_word``,
-  ``coeff_tilde`` and ``analysis.q_set``.
+  of the second kind) and a closed-form k-sum: one integer over n!, with and
+  without the tilde scale.  The default of ``coeff_word`` and ``analysis.q_set``.
 * ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
   table, O(n^3) big-integer work, kept as the independent cross-check.  All
   intermediate values are integers by construction; every division is checked
@@ -24,6 +24,7 @@ Routes, from fastest to most naive:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +46,6 @@ __all__ = [
     "coeff_alg2",
     "coeff_bernoulli_m2",
     "coeff_goldberg_sum",
-    "coeff_goldberg_tilde",
     "coeff_tilde",
     "coeff_word",
     "series_oracle",
@@ -83,7 +83,12 @@ class WordSpec:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(int(q) for q in self.runs))
+        runs = tuple(self.runs)
+        try:
+            # a float is not truncated and a string is not parsed
+            object.__setattr__(self, "runs", tuple(map(operator.index, runs)))
+        except TypeError:
+            raise ValueError(f"run lengths must be integers, got {runs}") from None
         if not self.runs:
             raise ValueError("a word needs at least one run")
         if any(q < 1 for q in self.runs):
@@ -211,8 +216,19 @@ def _k_sum_numerator(poly, m: int, n: int) -> int:
     return (-1) ** h * math.factorial(h) * acc
 
 
-def coeff_goldberg_tilde(runs) -> Fraction:
-    """The factorial-scaled A-first coefficient by Goldberg's double sum.
+def _goldberg_numerator(q: tuple[int, ...]) -> int:
+    """n! times the tilde form of the A-first word with validated runs ``q``."""
+    n = sum(q)
+    if n > COEFF_DEGREE_MAX:
+        raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
+    poly = [1]
+    for qi in q:
+        poly = _poly_mul(poly, _block_poly(qi))
+    return _k_sum_numerator(poly, len(q), n)
+
+
+def coeff_tilde(runs) -> Fraction:
+    """(-1)^n * q_1! * ... * q_m! * c(q_1, ..., q_m) by Goldberg's double sum.
 
     With t = j_1 + ... + j_m over all index tuples 1 <= j_i <= q_i:
 
@@ -224,13 +240,16 @@ def coeff_goldberg_tilde(runs) -> Fraction:
     closed form, so the result is one integer over n!.
     """
     q = WordSpec(True, runs).runs
-    n = sum(q)
-    if n > COEFF_DEGREE_MAX:
-        raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
-    poly = [1]
-    for qi in q:
-        poly = _poly_mul(poly, _block_poly(qi))
-    return Fraction(_k_sum_numerator(poly, len(q), n), math.factorial(n))
+    return Fraction(_goldberg_numerator(q), math.factorial(sum(q)))
+
+
+def coeff_goldberg_sum(runs) -> Fraction:
+    """c(q_1, ..., q_m): the coefficient of the A-first word with these runs.
+
+    The B-first word of the same runs carries the extra sign (-1)^(n+1).
+    """
+    q = WordSpec(True, runs).runs
+    return Fraction(_goldberg_numerator(q), math.factorial(sum(q)) * _tilde_scale(q))
 
 
 def _partition_coeffs(n: int) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -253,25 +272,6 @@ def _partition_coeffs(n: int) -> list[tuple[tuple[int, ...], Fraction]]:
 
     walk((), [1], n)
     return out
-
-
-def coeff_goldberg_sum(runs) -> Fraction:
-    """c(q_1, ..., q_m): the coefficient of the A-first word with these runs.
-
-    The B-first word of the same runs carries the extra sign (-1)^(n+1).
-    """
-    q = WordSpec(True, runs).runs
-    return Fraction(1, _tilde_scale(q)) * coeff_goldberg_tilde(q)
-
-
-def coeff_tilde(runs, *, method: str = "goldberg") -> Fraction:
-    """(-1)^n * q_1! * ... * q_m! times the A-first coefficient.
-
-    The form whose leading p-part the analysis helpers pick apart; kept
-    separate because the large-degree checks reason about it directly.
-    """
-    word = WordSpec(True, runs)
-    return _tilde_scale(word.runs) * coeff_word(word, method=method)
 
 
 def bernoulli_binomial_sum(n: int, k: int) -> Fraction:

@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .analysis import (
     bernoulli_sum_residue,
@@ -199,14 +198,11 @@ def suite_goldberg_symmetry(max_n: int | None = None) -> list[CheckRecord]:
     bound = 9 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(2, bound + 1):
-        bad = 0
-        for parts in partitions(n):
-            if len(parts) < 2:
-                continue
-            base = coeff_goldberg_sum(parts)
-            for perm in set(permutations(parts)):
-                if coeff_goldberg_sum(perm) != base:
-                    bad += 1
+        base = {parts: coeff_goldberg_sum(parts) for parts in partitions(n)}
+        # the A-first words' runs are the compositions of n, i.e. the
+        # distinct orderings of every partition, each visited once
+        bad = sum(coeff_goldberg_sum(w.runs) != base[tuple(sorted(w.runs, reverse=True))]
+                  for w in _words_of_degree(n) if w.a_first)
         _ok(records, "run-permutation-invariance", f"n={n}",
             bad == 0, "0 mismatches", f"{bad} mismatches")
     for n in range(2, min(bound + 1, 11), 2):
@@ -257,10 +253,9 @@ def suite_witness(max_n: int | None = None) -> list[CheckRecord]:
     bound = 40 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(2, bound + 1):
-        d = capital_denominator(n)
         for p in primes_upto(n - 1):
             w = witness_runs(n, p)
-            c = coeff_alg2(w.word, common_denominator=d)
+            c = coeff_word(w.word)
             target = legendre_vp_factorial(n, p) + w.l
             _eq(records, "witness-valuation",
                 f"n={n} p={p} runs={','.join(map(str, w.runs))} branch={w.branch.value}",
@@ -548,23 +543,23 @@ def suite_qset(max_n: int | None = None) -> list[CheckRecord]:
 # registry
 
 SUITES = {
-    "dn-list": (suite_dn_list, "d_n reference values and the p-range regression", False),
-    "partition-lcm": (suite_partition_lcm, "lcm over partitions == n! * d_n", False),
-    "min-degree": (suite_min_degree, "smallest degrees carrying p^l", False),
-    "oracle-agreement": (suite_oracle_agreement, "all routes vs the series expansion", False),
-    "two-block": (suite_two_block, "Bernoulli route vs integer recurrences", False),
-    "goldberg-symmetry": (suite_goldberg_symmetry, "run permutations and vanishing", False),
-    "denominator-divides": (suite_denominator_divides, "denominators divide n! * d_n", False),
-    "lcm-brute": (suite_lcm_brute, "brute-force per-degree lcm and max valuations", False),
-    "witness": (suite_witness, "constructed words attain the extreme valuation", False),
-    "lemma-binomials": (suite_lemma_binomials, "binomial valuations behind the two-block words", False),
-    "lemma3": (suite_lemma3, "factorial-valuation bound, exhaustive small grids", False),
-    "stirling": (suite_stirling, "Stirling congruences and cross-checks", False),
-    "bernoulli-vsc": (suite_bernoulli_vsc, "Bernoulli p-parts and denominators", False),
-    "bernoulli-sum": (suite_bernoulli_sum, "leading part of the Bernoulli binomial sums", False),
-    "table1": (suite_table1, "worked p=7 reference rows", False),
-    "table2": (suite_table2, "large-degree reference rows (slow)", True),
-    "qset": (suite_qset, "exhaustive extreme-partition scans (slow at n=31)", True),
+    "dn-list": suite_dn_list,
+    "partition-lcm": suite_partition_lcm,
+    "min-degree": suite_min_degree,
+    "oracle-agreement": suite_oracle_agreement,
+    "two-block": suite_two_block,
+    "goldberg-symmetry": suite_goldberg_symmetry,
+    "denominator-divides": suite_denominator_divides,
+    "lcm-brute": suite_lcm_brute,
+    "witness": suite_witness,
+    "lemma-binomials": suite_lemma_binomials,
+    "lemma3": suite_lemma3,
+    "stirling": suite_stirling,
+    "bernoulli-vsc": suite_bernoulli_vsc,
+    "bernoulli-sum": suite_bernoulli_sum,
+    "table1": suite_table1,
+    "table2": suite_table2,
+    "qset": suite_qset,
 }
 
 
@@ -580,7 +575,7 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckRecord]:
             records.extend(run_suite(key, max_n))
         return records
     try:
-        func = SUITES[name][0]
+        func = SUITES[name]
     except KeyError:
         known = ", ".join([*SUITES, "all"])
         raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None

@@ -145,6 +145,18 @@ class TestPartitionType:
             Partition((1, 2))  # increasing
         with pytest.raises(ValueError):
             Partition((2, 0))
+        with pytest.raises(ValueError, match="2.5"):
+            Partition((2.5, 1))  # not truncated
+        with pytest.raises(ValueError, match="'4'"):
+            Partition(("4", 2))  # not parsed
+
+    def test_accepts_int_subclasses(self):
+        class Part(int):
+            pass
+
+        part = Partition((Part(4), Part(2), True))
+        assert part.parts == (4, 2, 1)
+        assert all(type(x) is int for x in part.parts)
 
 
 class TestQSet:

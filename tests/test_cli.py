@@ -169,6 +169,13 @@ class TestVerifyCommand:
         for line in out.splitlines():
             assert json.loads(line)["pass"] is True
 
+    @pytest.mark.parametrize("max_n", ["0", "1"])
+    def test_no_checks_is_an_error(self, capsys, max_n):
+        assert run(["verify", "--suite", "witness", "--max-n", max_n]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert "witness" in err and f"--max-n {max_n}" in err
+
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run(["verify", "--suite", "bogus"])

@@ -1,9 +1,11 @@
+import inspect
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+import bchcoeff
 from bchcoeff.denominators import capital_denominator
 from bchcoeff.goldberg import (
     ALG2_DEGREE_MAX,
@@ -16,7 +18,6 @@ from bchcoeff.goldberg import (
     coeff_alg2,
     coeff_bernoulli_m2,
     coeff_goldberg_sum,
-    coeff_goldberg_tilde,
     coeff_tilde,
     coeff_word,
     series_oracle,
@@ -57,6 +58,24 @@ class TestWordSpec:
         with pytest.raises(ValueError):
             WordSpec(True, (2, 0, 1))
 
+    def test_rejects_non_integer_runs(self):
+        # a float is not truncated and a string is not parsed
+        with pytest.raises(ValueError, match="2.9"):
+            WordSpec(True, (2.9, 1))
+        with pytest.raises(ValueError, match="1.5"):
+            coeff_goldberg_sum((2, 1.5))
+        with pytest.raises(ValueError, match="'3'"):
+            WordSpec(True, ("3", True))
+
+    def test_accepts_int_subclasses(self):
+        class Length(int):
+            pass
+
+        word = WordSpec(True, (Length(2), True))
+        assert word.runs == (2, 1)
+        assert all(type(q) is int for q in word.runs)
+        assert coeff_goldberg_sum((Length(2), 1)) == Fraction(1, 12)
+
 
 class TestSmallValues:
     @pytest.mark.parametrize("letters,value", [
@@ -87,9 +106,9 @@ class TestSmallValues:
 
 class TestGoldbergRoute:
     def test_tilde_examples(self):
-        assert coeff_goldberg_tilde((1,)) == -1
-        assert coeff_goldberg_tilde((2, 1)) == Fraction(-1, 6)
-        assert coeff_goldberg_tilde((1, 1)) == Fraction(1, 2)
+        assert coeff_tilde((1,)) == -1
+        assert coeff_tilde((2, 1)) == Fraction(-1, 6)
+        assert coeff_tilde((1, 1)) == Fraction(1, 2)
 
     def test_sum_examples(self):
         assert coeff_goldberg_sum((1, 1)) == Fraction(1, 2)
@@ -101,14 +120,18 @@ class TestGoldbergRoute:
         assert coeff_goldberg_sum((3, 1, 2)) == coeff_goldberg_sum((1, 2, 3))
 
     def test_coeff_tilde_scaling(self):
-        # (-1)^n q_1! ... q_m! c == tilde, on both routes
+        # (-1)^n q_1! ... q_m! c == tilde, with c from alg2
         for runs in ((2, 1), (3, 2), (2, 2, 1), (4, 3)):
             n = sum(runs)
             scale = math.prod(math.factorial(q) for q in runs)
             sign = -1 if n % 2 else 1
             c = coeff_alg2(WordSpec(True, runs))
             assert coeff_tilde(runs) == sign * scale * c
-            assert coeff_tilde(runs, method="goldberg") == sign * scale * c
+
+    def test_one_public_tilde_entry(self):
+        assert "method" not in inspect.signature(coeff_tilde).parameters
+        assert not hasattr(bchcoeff, "coeff_goldberg_tilde")
+        assert "coeff_goldberg_tilde" not in bchcoeff.__all__
 
     def test_rejects(self):
         with pytest.raises(ValueError):

@@ -39,10 +39,9 @@ class TestRegistry:
         assert set(suite_names()) == EXPECTED_SUITES
 
     def test_registry_shape(self):
-        for name, (func, description, slow) in SUITES.items():
-            assert callable(func)
-            assert description
-            assert isinstance(slow, bool)
+        for name, func in SUITES.items():
+            assert callable(func), name
+            assert func.__doc__, name
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -74,6 +73,13 @@ class TestRunning:
         # witness sweep over n <= 6: (n, p) pairs with p < n and p prime
         records = run_suite("witness", 6)
         assert len(records) == 8
+        assert all(r.passed for r in records)
+
+    def test_goldberg_symmetry_at_degree_twelve(self):
+        # each of the 2^11 compositions of 12 is checked once, against the
+        # value of its runs sorted into a partition
+        records = run_suite("goldberg-symmetry", 12)
+        assert len(records) == 11 + 5
         assert all(r.passed for r in records)
 
     def test_max_n_narrows_dn_sweep(self):
