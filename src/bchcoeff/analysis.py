@@ -30,6 +30,7 @@ __all__ = [
     "LeadingTerm",
     "Lemma3Class",
     "Partition",
+    "QSET_ALG2_DEGREE_MAX",
     "QSET_DEGREE_MAX",
     "bernoulli_sum_residue",
     "brute_lcm_degree",
@@ -41,8 +42,11 @@ __all__ = [
 
 # per-degree brute force touches all 2^n words of that degree
 BRUTE_DEGREE_MAX = 14
-# q_set walks every partition of n (p(31) = 6842)
-QSET_DEGREE_MAX = 31
+# q_set walks every partition of n (p(48) = 147273); at the limit the slowest
+# of p = 2, 3, 5, 7 takes about 8.5 s of CPU on one core, Python 3.11
+QSET_DEGREE_MAX = 48
+# the alg2 cross-check scan takes about 7 s at its limit
+QSET_ALG2_DEGREE_MAX = 31
 
 
 @dataclass(frozen=True)
@@ -168,20 +172,23 @@ def q_set(n: int, p: int, *, method: str = "goldberg") -> tuple[Partition, ...]:
     Exhaustive over all partitions of n, in reverse-lexicographic order.
     "goldberg" walks the partition tree sharing each prefix's polynomial
     product; "alg2" runs the integer recurrences on every partition with the
-    common denominator n! * d_n computed once, as an independent cross-check.
+    common denominator n! * d_n computed once, as an independent cross-check
+    with its own, lower degree guard.
     """
     require_prime(p)
-    if not 1 <= n <= QSET_DEGREE_MAX:
-        raise ValueError(f"exhaustive-search guard: 1 <= n <= {QSET_DEGREE_MAX}, got {n}")
     if method not in ("alg2", "goldberg"):
         raise ValueError(f"method must be 'alg2' or 'goldberg', got {method!r}")
+    if method == "alg2" and n > QSET_ALG2_DEGREE_MAX:
+        raise ValueError(f"alg2 exhaustive-search guard: n <= {QSET_ALG2_DEGREE_MAX}, got {n}")
+    if not 1 <= n <= QSET_DEGREE_MAX:
+        raise ValueError(f"exhaustive-search guard: 1 <= n <= {QSET_DEGREE_MAX}, got {n}")
     target = legendre_vp_factorial(n, p) + l_exponent(n, p)
     if method == "goldberg":
         coeffs = _partition_coeffs(n)
     else:
         d = capital_denominator(n)
-        coeffs = [(parts, coeff_alg2(WordSpec(True, parts), common_denominator=d))
-                  for parts in partitions(n)]
+        coeffs = ((parts, coeff_alg2(WordSpec(True, parts), common_denominator=d))
+                  for parts in partitions(n))
     return tuple(Partition(parts) for parts, c in coeffs if vp(c.denominator, p) == target)
 
 

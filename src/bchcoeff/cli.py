@@ -131,9 +131,12 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = run_suite(args.suite, args.max_n)
-    if not records:
-        raise ValueError(f"suite {args.suite} ran no checks with --max-n {args.max_n}")
+    records = []
+    for name in suite_names() if args.suite == "all" else [args.suite]:
+        found = run_suite(name, args.max_n)
+        if not found:
+            raise ValueError(f"suite {name} ran no checks with --max-n {args.max_n}")
+        records += found
     for rec in records:
         if args.json:
             print(json.dumps(rec.as_dict()))

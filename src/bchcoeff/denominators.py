@@ -22,14 +22,12 @@ __all__ = [
     "DenominatorRecord",
     "PARTITION_LCM_MAX",
     "capital_denominator",
-    "check_bfile",
     "d_n",
     "denominator_record",
     "l_exponent",
     "min_degree_with_l",
     "partition_lcm",
     "partitions",
-    "read_bfile",
 ]
 
 # full partition enumeration stays desk-scale (p(40) = 37338 partitions)
@@ -143,31 +141,3 @@ def min_degree_with_l(p: int, l: int) -> int:
     x = (p**l - 1) // (p - 1)
     return 2 * p**x - 1
 
-
-def read_bfile(path) -> list[tuple[int, int]]:
-    """Parse OEIS b-file lines ("index value" per line, '#' starts a comment)."""
-    entries = []
-    with open(path, encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
-            entries.append((int(fields[0]), int(fields[1])))
-    return entries
-
-
-def check_bfile(path) -> list[tuple[int, int, int]]:
-    """Compare d_n against a local b-file listing of the sequence.
-
-    Returns mismatches as (n, listed_value, computed_value); empty means the
-    file and the formula agree everywhere the file has entries.
-    """
-    mismatches = []
-    for n, listed in read_bfile(path):
-        computed = d_n(n)
-        if computed != listed:
-            mismatches.append((n, listed, computed))
-    return mismatches

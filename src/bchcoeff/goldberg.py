@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .denominators import capital_denominator
 from .special import bernoulli, stirling2
@@ -204,16 +204,26 @@ def _poly_mul(a, b) -> list[int]:
     return out
 
 
-def _k_sum_numerator(poly, m: int, n: int) -> int:
-    """n! times the tilde coefficient whose m blocks multiply to ``poly``.
+def _k_sum_weights(n: int, h: int) -> tuple[int, list[int]]:
+    """(-1)^h h! and the weights W[t] = (t-h-1)! n!/t! of the k-sum at
+    h = (m-1)//2.
 
-    With h = (m-1)//2, the k-sum over each total t >= m > h has the closed
-    form sum((-1)^k C(h, k) / (t-k) for k = 0..h) = (-1)^h h! (t-h-1)! / t!,
-    and n!/t! is an integer, so the whole sum sits over n!.
+    Over each total t >= m the k-sum has the closed form
+    sum((-1)^k C(h, k) / (t-k) for k = 0..h) = (-1)^h h! (t-h-1)! / t!, and
+    n!/t! is an integer, so n! times it is (-1)^h h! W[t].  W is indexed by
+    t and is 0 below t = 2h+1, the fewest blocks with this h.
     """
-    h = (m - 1) // 2
-    acc = sum(poly[t] * math.factorial(t - h - 1) * math.perm(n, n - t) for t in range(m, n + 1))
-    return (-1) ** h * math.factorial(h) * acc
+    first = 2 * h + 1
+    weights = [0] * first
+    weights += [math.factorial(t - h - 1) * math.perm(n, n - t) for t in range(first, n + 1)]
+    return (-1) ** h * math.factorial(h), weights
+
+
+def _k_sum_numerator(poly, m: int, n: int) -> int:
+    """n! times the tilde coefficient whose m blocks multiply to ``poly``,
+    a list of n+1 coefficients that vanish below x^m."""
+    scale, weights = _k_sum_weights(n, (m - 1) // 2)
+    return scale * sum(map(operator.mul, poly, weights))
 
 
 def _goldberg_numerator(q: tuple[int, ...]) -> int:
@@ -252,26 +262,39 @@ def coeff_goldberg_sum(runs) -> Fraction:
     return Fraction(_goldberg_numerator(q), math.factorial(sum(q)) * _tilde_scale(q))
 
 
-def _partition_coeffs(n: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(parts, c) for every descending partition of n, in reverse-lexicographic
-    order, where c is the coefficient of the A-first word with those runs.
+def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (parts, c) for every descending partition of n, in
+    reverse-lexicographic order, where c is the coefficient of the A-first
+    word with those runs.
 
-    A depth-first walk: partitions sharing a prefix share its polynomial
-    product, so each tree edge costs one multiplication by a block polynomial.
+    A depth-first walk over the parts q >= 2: partitions sharing a prefix
+    share its polynomial product, so each tree edge costs one multiplication
+    by a block polynomial, and the edge's q! goes into the tilde scale carried
+    down with it.  Each node then ends its own leaf, the prefix followed by r
+    ones, after all its children.  As P_1(x) = -x, that leaf's product is the
+    prefix's shifted by r with sign (-1)^r; the shift goes into the k-sum and
+    no list is built.  The k-sum weights depend only on n and h = (m-1)//2,
+    so the walk computes them once per h.
     """
-    fact_n = math.factorial(n)
-    out = []
+    fact = [math.factorial(q) for q in range(n + 1)]
+    signed_fact_n = -fact[n] if n % 2 else fact[n]
+    weights = {}
 
-    def walk(parts, poly, remaining):
-        if not remaining:
-            num = _k_sum_numerator(poly, len(parts), n)
-            out.append((parts, Fraction(num, fact_n * _tilde_scale(parts))))
-            return
-        for q in range(min(remaining, parts[-1] if parts else n), 0, -1):
-            walk(parts + (q,), _poly_mul(poly, _block_poly(q)), remaining - q)
+    def walk(parts, poly, remaining, scale):
+        for q in range(min(remaining, parts[-1] if parts else n), 1, -1):
+            yield from walk(parts + (q,), _poly_mul(poly, _block_poly(q)),
+                            remaining - q, scale * fact[q])
+        h = (len(parts) + remaining - 1) // 2
+        if h not in weights:
+            weights[h] = _k_sum_weights(n, h)
+        h_scale, w = weights[h]
+        # the leaf's x^(t + remaining) coefficient is (-1)^remaining poly[t]
+        acc = sum(map(operator.mul, poly, w[remaining:]))
+        if remaining % 2:
+            acc = -acc
+        yield parts + (1,) * remaining, Fraction(h_scale * acc, signed_fact_n * scale)
 
-    walk((), [1], n)
-    return out
+    yield from walk((), [1], n, 1)
 
 
 def bernoulli_binomial_sum(n: int, k: int) -> Fraction:

@@ -85,9 +85,31 @@ TABLE2 = (
 # reverse-lexicographic
 QSET_REFERENCE = {
     (15, 2): ((8, 4, 2, 1),),
+    (19, 3): ((18, 1), (10, 9), (9, 9, 1)),
+    (21, 5): (
+        (20, 1), (16, 5), (15, 6), (15, 5, 1), (11, 10), (11, 5, 5), (10, 10, 1),
+        (10, 6, 5), (10, 5, 5, 1), (6, 5, 5, 5), (5, 5, 5, 5, 1),
+    ),
     (23, 2): ((16, 4, 2, 1),),
+    (26, 7): (
+        (24, 2), (23, 3), (23, 1, 1, 1), (22, 4), (22, 2, 1, 1), (21, 5), (21, 3, 1, 1),
+        (21, 2, 2, 1), (21, 1, 1, 1, 1, 1), (18, 8), (17, 9), (17, 7, 1, 1), (16, 10),
+        (16, 8, 1, 1), (16, 7, 2, 1), (15, 11), (15, 9, 1, 1), (15, 8, 2, 1),
+        (15, 7, 3, 1), (15, 7, 2, 2), (15, 7, 1, 1, 1, 1), (14, 12), (14, 10, 1, 1),
+        (14, 9, 2, 1), (14, 8, 3, 1), (14, 8, 2, 2), (14, 8, 1, 1, 1, 1), (14, 7, 4, 1),
+        (14, 7, 3, 2), (14, 7, 2, 1, 1, 1), (11, 7, 7, 1), (10, 8, 7, 1), (10, 7, 7, 2),
+        (9, 9, 7, 1), (9, 8, 8, 1), (9, 8, 7, 2), (9, 7, 7, 3), (9, 7, 7, 1, 1, 1),
+        (8, 8, 8, 2), (8, 8, 7, 3), (8, 8, 7, 1, 1, 1), (8, 7, 7, 4),
+        (8, 7, 7, 2, 1, 1), (7, 7, 7, 5), (7, 7, 7, 3, 1, 1), (7, 7, 7, 2, 2, 1),
+        (7, 7, 7, 1, 1, 1, 1, 1),
+    ),
     (27, 2): ((16, 8, 2, 1),),
     (29, 2): ((16, 8, 4, 1),),
+    (29, 3): ((28, 1), (27, 2), (27, 1, 1)),
+    (29, 5): (
+        (28, 1), (27, 2), (27, 1, 1), (26, 3), (26, 2, 1), (26, 1, 1, 1), (25, 4),
+        (25, 3, 1), (25, 2, 2), (25, 2, 1, 1), (25, 1, 1, 1, 1),
+    ),
     (30, 2): ((16, 8, 4, 2),),
     (31, 2): (
         (24, 4, 2, 1),
@@ -101,6 +123,9 @@ QSET_REFERENCE = {
         (16, 8, 5, 2),
         (16, 8, 4, 3),
     ),
+    (33, 2): ((32, 1),),
+    (35, 2): ((34, 1), (32, 2, 1), (32, 1, 1, 1), (16, 16, 2, 1)),
+    (39, 2): ((32, 4, 2, 1),),
 }
 
 # (p, l) -> smallest degree whose denominator carries p^l

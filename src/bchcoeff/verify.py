@@ -264,7 +264,11 @@ def suite_witness(max_n: int | None = None) -> list[CheckRecord]:
 
 
 def suite_lemma_binomials(max_n: int | None = None) -> list[CheckRecord]:
-    """The two binomial-valuation constructions behind the two-block words."""
+    """The two binomial-valuation constructions behind the two-block words.
+
+    One record per prime and construction that has a case at or below the
+    bound; at the default bound every prime up to 13 has one.
+    """
     bound = 500 if max_n is None else max_n
     records: list[CheckRecord] = []
     for p in primes_upto(13):
@@ -277,8 +281,9 @@ def suite_lemma_binomials(max_n: int | None = None) -> list[CheckRecord]:
             checked += 1
             if not 1 <= k <= n - 1 or vp(math.comb(n, k), p) != 1:
                 bad += 1
-        _ok(records, "top-digit-cut-valuation-1", f"p={p} n<={bound} ({checked} pairs)",
-            checked > 0 and bad == 0, "v_p == 1 throughout", f"{bad} failures")
+        if checked:
+            _ok(records, "top-digit-cut-valuation-1", f"p={p} n<={bound} ({checked} pairs)",
+                bad == 0, "v_p == 1 throughout", f"{bad} failures")
     for p in primes_upto(13):
         checked = bad = 0
         for n in range(1, bound + 1):
@@ -293,8 +298,9 @@ def suite_lemma_binomials(max_n: int | None = None) -> list[CheckRecord]:
                 or lucas_binomial_mod(n, k, p) == 0
             ):
                 bad += 1
-        _ok(records, "greedy-digit-cut-valuation-0", f"p={p} n<={bound} ({checked} pairs)",
-            checked > 0 and bad == 0, "v_p == 0, (p-1) | k throughout", f"{bad} failures")
+        if checked:
+            _ok(records, "greedy-digit-cut-valuation-0", f"p={p} n<={bound} ({checked} pairs)",
+                bad == 0, "v_p == 0, (p-1) | k throughout", f"{bad} failures")
     return records
 
 
@@ -527,8 +533,9 @@ def suite_table2(max_n: int | None = None) -> list[CheckRecord]:
 
 
 def suite_qset(max_n: int | None = None) -> list[CheckRecord]:
-    """Exhaustive partition scans against the recorded extreme sets."""
-    bound = 31 if max_n is None else max_n
+    """Exhaustive partition scans against the recorded extreme sets; the
+    default bound leaves out the slower rows past degree 33."""
+    bound = 33 if max_n is None else max_n
     records: list[CheckRecord] = []
     for (n, p), expected in sorted(QSET_REFERENCE.items()):
         if n > bound:
@@ -568,15 +575,10 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[CheckRecord]:
-    """Run one named suite, or every suite in registry order for "all"."""
-    if name == "all":
-        records = []
-        for key in SUITES:
-            records.extend(run_suite(key, max_n))
-        return records
+    """Run one named suite."""
     try:
         func = SUITES[name]
     except KeyError:
-        known = ", ".join([*SUITES, "all"])
+        known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None
     return func(max_n)

@@ -8,6 +8,7 @@ from bchcoeff.analysis import (
     BRUTE_DEGREE_MAX,
     Lemma3Class,
     Partition,
+    QSET_ALG2_DEGREE_MAX,
     QSET_DEGREE_MAX,
     bernoulli_sum_residue,
     brute_lcm_degree,
@@ -174,8 +175,11 @@ class TestQSet:
                 assert q_set(n, p, method="alg2") == q_set(n, p, method="goldberg"), (n, p)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"n <= {QSET_DEGREE_MAX}, got"):
             q_set(QSET_DEGREE_MAX + 1, 2)
+        with pytest.raises(ValueError, match=f"alg2 .* n <= {QSET_ALG2_DEGREE_MAX}, got"):
+            q_set(QSET_ALG2_DEGREE_MAX + 1, 2, method="alg2")
+        assert QSET_ALG2_DEGREE_MAX < QSET_DEGREE_MAX
         with pytest.raises(ValueError):
             q_set(10, 2, method="fast")
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from bchcoeff.analysis import QSET_DEGREE_MAX
 from bchcoeff.cli import run
 from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX
 
@@ -198,7 +199,7 @@ class TestQsetCommand:
     def test_guard(self, capsys):
         assert run(["qset", "--n", "99", "--p", "2"]) == 2
         _, err = lines_of(capsys)
-        assert "error:" in err and "31" in err
+        assert "error:" in err and f"n <= {QSET_DEGREE_MAX}, got 99" in err
 
 
 class TestLcmCommand:

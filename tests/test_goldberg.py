@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 import bchcoeff
-from bchcoeff.denominators import capital_denominator
+from bchcoeff.denominators import capital_denominator, partitions
 from bchcoeff.goldberg import (
     ALG2_DEGREE_MAX,
     COEFF_DEGREE_MAX,
@@ -14,6 +14,8 @@ from bchcoeff.goldberg import (
     METHODS,
     SERIES_ORACLE_MAX,
     WordSpec,
+    _k_sum_weights,
+    _partition_coeffs,
     alg2_table,
     coeff_alg2,
     coeff_bernoulli_m2,
@@ -138,6 +140,29 @@ class TestGoldbergRoute:
             coeff_goldberg_sum(())
         with pytest.raises(ValueError):
             coeff_goldberg_sum((2, 0))
+
+
+class TestPartitionWalk:
+    def test_walk_equals_per_partition_route(self):
+        # every leaf shape occurs: (n,), (1,)*n, and folded tails of every length
+        for n in range(1, 21):
+            expected = [(parts, coeff_goldberg_sum(parts)) for parts in partitions(n)]
+            assert list(_partition_coeffs(n)) == expected, n
+
+    def test_walk_is_lazy(self):
+        walk = _partition_coeffs(20)
+        assert next(walk) == ((20,), 0)
+
+    def test_k_sum_weights(self):
+        # n! * sum((-1)^k C(h, k) / (t-k) for k = 0..h) == scale * W[t]
+        for n in range(1, 31):
+            for h in range((n - 1) // 2 + 1):
+                scale, weights = _k_sum_weights(n, h)
+                assert len(weights) == n + 1 and not any(weights[:2 * h + 1])
+                for t in range(2 * h + 1, n + 1):
+                    direct = sum(Fraction((-1) ** k * math.comb(h, k), t - k)
+                                 for k in range(h + 1))
+                    assert Fraction(scale * weights[t], math.factorial(n)) == direct
 
 
 class TestDegreeGuards:

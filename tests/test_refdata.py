@@ -6,7 +6,8 @@ this test pins them to the constants the verification suites use.
 
 from fractions import Fraction
 
-from bchcoeff.denominators import read_bfile
+from conftest import read_bfile
+
 from bchcoeff.exactmath import rational_from_str
 from bchcoeff.refdata import (
     DN_REFERENCE,

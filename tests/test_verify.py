@@ -112,3 +112,14 @@ class TestBernoulliSquarefree:
         records = run_suite("bernoulli-vsc")
         assert records and all(r.passed for r in records)
         assert max(seen) <= math.isqrt(56786730)
+
+
+class TestLemmaBinomials:
+    def test_default_bound_checks_every_prime(self):
+        # at n <= 500 both constructions have cases for every prime up to 13
+        records = run_suite("lemma-binomials")
+        assert all(r.passed for r in records)
+        for claim in ("top-digit-cut-valuation-1", "greedy-digit-cut-valuation-0"):
+            found = [r.inputs for r in records if r.claim == claim]
+            assert [f.split()[0] for f in found] == [f"p={p}" for p in (2, 3, 5, 7, 11, 13)]
+            assert all(int(f.split("(")[1].split()[0]) > 0 for f in found)
