@@ -125,7 +125,7 @@ def partition_lcm(n: int) -> int:
         value = len(parts)
         for j in parts:
             value *= math.factorial(j)
-        out = out * value // math.gcd(out, value)
+        out = math.lcm(out, value)
     return out
 
 

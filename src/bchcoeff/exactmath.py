@@ -17,12 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "PADIC_INFINITY",
-    "PAdicDigits",
     "digit_sum",
     "is_prime",
     "legendre_vp_factorial",
@@ -105,23 +103,11 @@ def vp(x: Fraction | int, p: int) -> int | float:
     return _vp_int(x, p)
 
 
-@dataclass(frozen=True)
-class PAdicDigits:
-    """Base-p digit expansion, least significant digit first; empty for zero."""
+def padic_digits(n: int, p: int) -> tuple[int, ...]:
+    """The base-p digits of a nonnegative integer, least significant first.
 
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        require_prime(self.base)
-        if any(not 0 <= a < self.base for a in self.digits):
-            raise ValueError(f"digits out of range for base {self.base}: {self.digits}")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("top digit must be nonzero")
-
-
-def padic_digits(n: int, p: int) -> PAdicDigits:
-    """The base-p expansion of a nonnegative integer."""
+    Empty for zero; the top digit of a nonzero n is nonzero.
+    """
     require_prime(p)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -129,7 +115,7 @@ def padic_digits(n: int, p: int) -> PAdicDigits:
     while n:
         n, a = divmod(n, p)
         digits.append(a)
-    return PAdicDigits(p, tuple(digits))
+    return tuple(digits)
 
 
 def digit_sum(n: int, p: int) -> int:

@@ -349,9 +349,9 @@ def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
 
     Builds Y = e^A e^B - 1 as a word -> coefficient map scaled to integers,
     forms truncated powers Y^k by concatenation products, and sums
-    (-1)^(k+1) Y^k / k over one huge common denominator.  Returns a read-only
-    map from letter strings (every word of length 1..max_degree, zeros
-    included) to exact rationals.
+    (-1)^(k+1) Y^k / k over one huge common denominator.  Keys are letter
+    strings throughout, so the result is a read-only map from every word of
+    length 1..max_degree (zeros included) to its exact rational.
     """
     if not isinstance(max_degree, int) or not 1 <= max_degree <= SERIES_ORACLE_MAX:
         raise ValueError(
@@ -360,18 +360,15 @@ def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
         )
     nf = math.factorial(max_degree)
     fact = [math.factorial(i) for i in range(max_degree + 1)]
-    shift = 16
-    mask = (1 << shift) - 1
-    # keys pack (length << 16) | bits, bit 1 = letter B read left to right
-    y = {}
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1 - i):
-            if i + j:
-                y[((i + j) << shift) | ((1 << j) - 1)] = nf // (fact[i] * fact[j])
-    y_items = sorted(y.items(), key=lambda kv: kv[0] >> shift)
+    # the nonzero words of Y are A^i B^j, in order of length
+    y_items = [
+        ("A" * i + "B" * (length - i), nf // (fact[i] * fact[length - i]))
+        for length in range(1, max_degree + 1)
+        for i in range(length + 1)
+    ]
     ell = math.lcm(*range(1, max_degree + 1))
-    acc: dict[int, int] = {}
-    power = dict(y)  # Y^k scaled by nf^k
+    acc: dict[str, int] = {}
+    power = dict(y_items)  # Y^k scaled by nf^k
     for k in range(1, max_degree + 1):
         scale = (ell // k) * nf ** (max_degree - k)
         if k % 2 == 0:
@@ -380,26 +377,17 @@ def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
             acc[w] = acc.get(w, 0) + scale * v
         if k == max_degree:
             break
-        nxt: dict[int, int] = {}
+        nxt: dict[str, int] = {}
         for w1, v1 in power.items():
-            l1 = w1 >> shift
-            b1 = w1 & mask
-            room = max_degree - l1
+            room = max_degree - len(w1)
             for w2, v2 in y_items:
-                l2 = w2 >> shift
-                if l2 > room:
+                if len(w2) > room:
                     break
-                key = ((l1 + l2) << shift) | (b1 << l2) | (w2 & mask)
+                key = w1 + w2
                 if key in nxt:
                     nxt[key] += v1 * v2
                 else:
                     nxt[key] = v1 * v2
         power = nxt
     denom = ell * nf**max_degree
-    out = {}
-    for w, num in acc.items():
-        ln = w >> shift
-        bits = w & mask
-        text = "".join("B" if (bits >> (ln - 1 - t)) & 1 else "A" for t in range(ln))
-        out[text] = Fraction(num, denom)
-    return MappingProxyType(out)
+    return MappingProxyType({w: Fraction(num, denom) for w, num in acc.items()})

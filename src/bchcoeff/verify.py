@@ -9,6 +9,7 @@ out in a fixed order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -152,10 +153,8 @@ def suite_min_degree(max_n: int | None = None) -> list[CheckRecord]:
 # coefficient agreement suites
 
 def _words_of_degree(n: int):
-    for bits in range(1 << n):
-        yield WordSpec.from_letters(
-            "".join("B" if (bits >> (n - 1 - t)) & 1 else "A" for t in range(n))
-        )
+    for letters in itertools.product("AB", repeat=n):
+        yield WordSpec.from_letters("".join(letters))
 
 
 def suite_oracle_agreement(max_n: int | None = None) -> list[CheckRecord]:
@@ -274,7 +273,7 @@ def suite_lemma_binomials(max_n: int | None = None) -> list[CheckRecord]:
     for p in primes_upto(13):
         checked = bad = 0
         for n in range(p, bound + 1):
-            digits = padic_digits(n, p).digits
+            digits = padic_digits(n, p)
             if len(digits) < 2 or digits[-2] >= p - 1:
                 continue
             k = lemma1_k(n, p)
@@ -313,20 +312,12 @@ def suite_lemma3(max_n: int | None = None) -> list[CheckRecord]:
             total = (2 * p) ** m
             bound_bad = 0
             class_bad = 0
-            tup = [1] * m
-            while True:
-                lhs, rhs, cls = lemma3_sides(tuple(tup), p, l)
+            for tup in itertools.product(range(1, 2 * p + 1), repeat=m):
+                lhs, rhs, cls = lemma3_sides(tup, p, l)
                 if lhs < rhs:
                     bound_bad += 1
                 if (lhs == rhs) != (cls is not Lemma3Class.NONE):
                     class_bad += 1
-                pos = 0
-                while pos < m and tup[pos] == 2 * p:
-                    tup[pos] = 1
-                    pos += 1
-                if pos == m:
-                    break
-                tup[pos] += 1
             _ok(records, "factorial-valuation-bound", f"p={p} l={l} m={m} tuples={total}",
                 bound_bad == 0, "lhs >= rhs throughout", f"{bound_bad} violations")
             _ok(records, "equality-classification", f"p={p} l={l} m={m} tuples={total}",

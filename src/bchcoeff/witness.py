@@ -67,7 +67,7 @@ def lemma1_k(n: int, p: int) -> int:
     require_prime(p)
     if n < p:
         raise ValueError(f"needs n >= p, got n={n}, p={p}")
-    digits = padic_digits(n, p).digits
+    digits = padic_digits(n, p)
     r = len(digits) - 1
     if digits[r - 1] >= p - 1:
         raise ValueError(
@@ -83,7 +83,7 @@ def lemma2_k(n: int, p: int) -> int:
     Gives v_p(C(n, k)) == 0 with (p-1) | k.  Needs s_p(n) >= p.
     """
     require_prime(p)
-    digits = padic_digits(n, p).digits
+    digits = padic_digits(n, p)
     if sum(digits) < p:
         raise ValueError(f"needs s_p(n) >= p; s_{p}({n}) = {sum(digits)}")
     budget = p - 1
@@ -112,7 +112,7 @@ def power_branch_runs(n: int, p: int, l: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"l must be >= 1, got {l}")
     if m not in (p**l, p**l + 1):
         raise ValueError(f"m must be {p ** l} or {p ** l + 1}, got {m}")
-    digits = padic_digits(n, p).digits
+    digits = padic_digits(n, p)
     s = sum(digits)
     if s < p**l:
         raise ValueError(f"needs s_p(n) >= p**l = {p ** l}; s_{p}({n}) = {s}")

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from bchcoeff import verify
 from bchcoeff.analysis import QSET_DEGREE_MAX
 from bchcoeff.cli import run
 from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX
@@ -177,6 +178,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "witness" in err and f"--max-n {max_n}" in err
 
+    def test_all_keeps_records_past_an_empty_suite(self, capsys, monkeypatch):
+        suites = {name: verify.SUITES[name] for name in ("partition-lcm", "two-block", "lcm-brute")}
+        monkeypatch.setattr(verify, "SUITES", suites)
+        assert run(["verify", "--suite", "all", "--max-n", "1"]) == 2
+        out, err = lines_of(capsys)
+        assert out.splitlines() == [
+            "partition-lcm | n=1 | expected 1 | actual 1 | PASS",
+            "degree-lcm | n=1 | expected 1 | actual 1 | PASS",
+        ]
+        assert err == "error: suite two-block ran no checks with --max-n 1\n"
+
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run(["verify", "--suite", "bogus"])
@@ -273,6 +285,9 @@ class TestParser:
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_output(case, capsys):
+    # the table2 rows report progress on stderr only while they compute, so
+    # drop the per-process cache to print what a fresh process prints
+    verify.table2_computed.cache_clear()
     assert run(case["argv"]) == case["exit"]
     out, err = lines_of(capsys)
     assert out == case["stdout"]
