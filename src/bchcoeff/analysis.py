@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .denominators import capital_denominator, l_exponent, partitions
+from .denominators import l_exponent
 from .exactmath import (
     PADIC_INFINITY,
     digit_sum,
@@ -23,14 +23,13 @@ from .exactmath import (
     require_prime,
     vp,
 )
-from .goldberg import WordSpec, _partition_coeffs, coeff_alg2, series_oracle
+from .goldberg import WordSpec, _partition_coeffs, series_oracle
 
 __all__ = [
     "BRUTE_DEGREE_MAX",
     "LeadingTerm",
     "Lemma3Class",
     "Partition",
-    "QSET_ALG2_DEGREE_MAX",
     "QSET_DEGREE_MAX",
     "bernoulli_sum_residue",
     "brute_lcm_degree",
@@ -45,8 +44,6 @@ BRUTE_DEGREE_MAX = 14
 # q_set walks every partition of n (p(48) = 147273); at the limit the slowest
 # of p = 2, 3, 5, 7 takes about 8.5 s of CPU on one core, Python 3.11
 QSET_DEGREE_MAX = 48
-# the alg2 cross-check scan takes about 7 s at its limit
-QSET_ALG2_DEGREE_MAX = 31
 
 
 @dataclass(frozen=True)
@@ -165,31 +162,19 @@ class Partition:
         return sum(self.parts)
 
 
-def q_set(n: int, p: int, *, method: str = "goldberg") -> tuple[Partition, ...]:
+def q_set(n: int, p: int) -> tuple[Partition, ...]:
     """Every descending partition of n whose A-first word attains the extreme
     denominator valuation v_p(n!) + l(n, p).
 
-    Exhaustive over all partitions of n, in reverse-lexicographic order.
-    "goldberg" walks the partition tree sharing each prefix's polynomial
-    product; "alg2" runs the integer recurrences on every partition with the
-    common denominator n! * d_n computed once, as an independent cross-check
-    with its own, lower degree guard.
+    Exhaustive over all partitions of n, in reverse-lexicographic order: the
+    walk shares each prefix's polynomial product down the partition tree.
     """
     require_prime(p)
-    if method not in ("alg2", "goldberg"):
-        raise ValueError(f"method must be 'alg2' or 'goldberg', got {method!r}")
-    if method == "alg2" and n > QSET_ALG2_DEGREE_MAX:
-        raise ValueError(f"alg2 exhaustive-search guard: n <= {QSET_ALG2_DEGREE_MAX}, got {n}")
     if not 1 <= n <= QSET_DEGREE_MAX:
         raise ValueError(f"exhaustive-search guard: 1 <= n <= {QSET_DEGREE_MAX}, got {n}")
     target = legendre_vp_factorial(n, p) + l_exponent(n, p)
-    if method == "goldberg":
-        coeffs = _partition_coeffs(n)
-    else:
-        d = capital_denominator(n)
-        coeffs = ((parts, coeff_alg2(WordSpec(True, parts), common_denominator=d))
-                  for parts in partitions(n))
-    return tuple(Partition(parts) for parts, c in coeffs if vp(c.denominator, p) == target)
+    return tuple(Partition(parts) for parts, c in _partition_coeffs(n)
+                 if vp(c.denominator, p) == target)
 
 
 class Lemma3Class(Enum):

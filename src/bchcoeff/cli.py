@@ -22,10 +22,14 @@ from .denominators import (
 from .exactmath import legendre_vp_factorial, vp
 from .goldberg import METHODS, WordSpec, coeff_word
 from .refdata import DN_REFERENCE, MIN_DEGREE_REFERENCE
-from .verify import run_suite, suite_names, table1_computed, table2_computed
+from .verify import run_suite, suite_names, table1_computed, table2_rows
 from .witness import witness_runs
 
 __all__ = ["main", "run"]
+
+# past this degree n! * d_n has more than 4300 digits, CPython's default
+# limit for converting an int to text
+DENOM_DEGREE_MAX = 1552
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -84,6 +88,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_denom(args) -> int:
+    if args.n > DENOM_DEGREE_MAX:
+        raise ValueError(f"denom degree guard: n <= {DENOM_DEGREE_MAX}, got {args.n}")
     rec = denominator_record(args.n)
     lines = [f"d_{rec.n} = {rec.dn}", f"{rec.n}! * d_{rec.n} = {rec.capital}"]
     if args.factor:
@@ -152,7 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qset(args) -> int:
-    found = q_set(args.n, args.p, method=args.method)
+    found = q_set(args.n, args.p)
     l = l_exponent(args.n, args.p)
     payload = {
         "n": args.n,
@@ -196,7 +202,7 @@ def _cmd_table(args) -> int:
             _emit(args, payload, text)
         return 0
     if args.name == "t2":
-        for row, c, e, a_hat in table2_computed():
+        for row, c, e, a_hat in table2_rows():
             payload = {
                 "n": row.n, "p": row.p, "l": row.l, "m": row.m,
                 "runs": list(row.runs),
@@ -260,14 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[shared], help="run a named check suite")
     p.add_argument("--suite", required=True, choices=[*suite_names(), "all"])
     p.add_argument("--max-n", type=int, default=None,
-                   help="override the suite's default sweep bound")
+                   help="override the suite's default bound (a guard caps each sweep)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("qset", parents=[shared],
                        help="all partitions attaining the extreme valuation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--method", choices=("alg2", "goldberg"), default="goldberg")
     p.set_defaults(func=_cmd_qset)
 
     p = sub.add_parser("lcm", parents=[shared],

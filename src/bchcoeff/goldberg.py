@@ -37,6 +37,7 @@ from .special import bernoulli, stirling2
 
 __all__ = [
     "ALG2_DEGREE_MAX",
+    "BERNOULLI_DEGREE_MAX",
     "COEFF_DEGREE_MAX",
     "IntegerExactnessError",
     "SERIES_ORACLE_MAX",
@@ -53,10 +54,11 @@ __all__ = [
 
 # the oracle materializes every word of length <= N: 2^(N+1) - 2 entries
 SERIES_ORACLE_MAX = 16
-# one coefficient of the worst shape (two equal blocks) at each limit takes
-# about 9 s of CPU on one core, Python 3.11
+# one coefficient of the worst shape at each limit (two equal blocks; any two
+# blocks on the Bernoulli route) takes 8-10 s of CPU on one core, Python 3.11
 ALG2_DEGREE_MAX = 270
 COEFF_DEGREE_MAX = 1100
+BERNOULLI_DEGREE_MAX = 900
 
 METHODS = ("alg2", "goldberg", "bernoulli", "oracle")
 
@@ -302,6 +304,8 @@ def bernoulli_binomial_sum(n: int, k: int) -> Fraction:
     two-block coefficient."""
     if n < 2:
         raise ValueError(f"two-block words need degree >= 2, got n={n}")
+    if n > BERNOULLI_DEGREE_MAX:
+        raise ValueError(f"bernoulli degree guard: n <= {BERNOULLI_DEGREE_MAX}, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}")
     total = Fraction(0)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .analysis import (
+    BRUTE_DEGREE_MAX,
     bernoulli_sum_residue,
     brute_lcm_degree,
     expected_a,
@@ -26,6 +27,7 @@ from .analysis import (
     q_set,
 )
 from .denominators import (
+    PARTITION_LCM_MAX,
     capital_denominator,
     d_n,
     l_exponent,
@@ -69,6 +71,7 @@ __all__ = [
     "suite_names",
     "table1_computed",
     "table2_computed",
+    "table2_rows",
 ]
 
 
@@ -109,9 +112,8 @@ def _progress(text: str) -> None:
 # ---------------------------------------------------------------------------
 # denominator suites
 
-def suite_dn_list(max_n: int | None = None) -> list[CheckRecord]:
+def suite_dn_list(bound: int) -> list[CheckRecord]:
     """The d_n reference list, plus the prime-range regression p <= n vs p < n."""
-    bound = 200 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n, expected in enumerate(DN_REFERENCE, start=1):
         _eq(records, "dn-value", f"n={n}", expected, d_n(n))
@@ -123,16 +125,15 @@ def suite_dn_list(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_partition_lcm(max_n: int | None = None) -> list[CheckRecord]:
+def suite_partition_lcm(bound: int) -> list[CheckRecord]:
     """partition_lcm(n) == n! * d_n, by full enumeration."""
-    bound = 30 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(1, bound + 1):
         _eq(records, "partition-lcm", f"n={n}", capital_denominator(n), partition_lcm(n))
     return records
 
 
-def suite_min_degree(max_n: int | None = None) -> list[CheckRecord]:
+def suite_min_degree() -> list[CheckRecord]:
     """Smallest degrees carrying p^l: reference values, and exhaustive minimality."""
     records: list[CheckRecord] = []
     for (p, l), expected in sorted(MIN_DEGREE_REFERENCE.items()):
@@ -157,9 +158,8 @@ def _words_of_degree(n: int):
         yield WordSpec.from_letters("".join(letters))
 
 
-def suite_oracle_agreement(max_n: int | None = None) -> list[CheckRecord]:
+def suite_oracle_agreement(bound: int) -> list[CheckRecord]:
     """All three word-level routes agree with the brute-force expansion."""
-    bound = 10 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(1, bound + 1):
         oracle = series_oracle(n)
@@ -176,9 +176,8 @@ def suite_oracle_agreement(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_two_block(max_n: int | None = None) -> list[CheckRecord]:
+def suite_two_block(bound: int) -> list[CheckRecord]:
     """The Bernoulli closed form matches the integer recurrences on A^(n-k) B^k."""
-    bound = 20 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(2, bound + 1):
         d = capital_denominator(n)
@@ -192,9 +191,8 @@ def suite_two_block(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_goldberg_symmetry(max_n: int | None = None) -> list[CheckRecord]:
+def suite_goldberg_symmetry(bound: int) -> list[CheckRecord]:
     """Run-permutation invariance, and the even-degree/odd-block vanishing rule."""
-    bound = 9 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(2, bound + 1):
         base = {parts: coeff_goldberg_sum(parts) for parts in partitions(n)}
@@ -214,9 +212,8 @@ def suite_goldberg_symmetry(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_denominator_divides(max_n: int | None = None) -> list[CheckRecord]:
+def suite_denominator_divides(bound: int) -> list[CheckRecord]:
     """Every degree-n coefficient denominator divides n! * d_n."""
-    bound = 12 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(1, bound + 1):
         cap = capital_denominator(n)
@@ -230,9 +227,8 @@ def suite_denominator_divides(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_lcm_brute(max_n: int | None = None) -> list[CheckRecord]:
+def suite_lcm_brute(bound: int) -> list[CheckRecord]:
     """Per-degree lcm of denominators equals n! * d_n; per-prime maxima match."""
-    bound = 12 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(1, bound + 1):
         brute = brute_lcm_degree(n)
@@ -247,9 +243,8 @@ def suite_lcm_brute(max_n: int | None = None) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # witness suites
 
-def suite_witness(max_n: int | None = None) -> list[CheckRecord]:
+def suite_witness(bound: int) -> list[CheckRecord]:
     """The constructed word attains v_p(n!) + l(n, p) for every n, p < n."""
-    bound = 40 if max_n is None else max_n
     records: list[CheckRecord] = []
     for n in range(2, bound + 1):
         for p in primes_upto(n - 1):
@@ -262,13 +257,12 @@ def suite_witness(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_lemma_binomials(max_n: int | None = None) -> list[CheckRecord]:
+def suite_lemma_binomials(bound: int) -> list[CheckRecord]:
     """The two binomial-valuation constructions behind the two-block words.
 
     One record per prime and construction that has a case at or below the
     bound; at the default bound every prime up to 13 has one.
     """
-    bound = 500 if max_n is None else max_n
     records: list[CheckRecord] = []
     for p in primes_upto(13):
         checked = bad = 0
@@ -303,9 +297,8 @@ def suite_lemma_binomials(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_lemma3(max_n: int | None = None) -> list[CheckRecord]:
+def suite_lemma3() -> list[CheckRecord]:
     """Factorial-valuation bound and its exact equality patterns, exhaustively."""
-    del max_n  # the grids are fixed
     records: list[CheckRecord] = []
     for p, l in ((2, 1), (2, 2), (3, 1)):
         for m in (p**l, p**l + 1):
@@ -328,9 +321,8 @@ def suite_lemma3(max_n: int | None = None) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # congruence suites
 
-def suite_stirling(max_n: int | None = None) -> list[CheckRecord]:
+def suite_stirling(bound: int) -> list[CheckRecord]:
     """Stirling-number congruences and the two-route cross-check."""
-    bound = 60 if max_n is None else max_n
     records: list[CheckRecord] = []
     for p, e_max in ((2, 4), (3, 3), (5, 2)):
         for e in range(1, e_max + 1):
@@ -370,11 +362,10 @@ def _square_prime_factors(m: int) -> list[int]:
     return [p for p in primes_upto(math.isqrt(m)) if m % (p * p) == 0]
 
 
-def suite_bernoulli_vsc(max_n: int | None = None) -> list[CheckRecord]:
+def suite_bernoulli_vsc(bound: int) -> list[CheckRecord]:
     """The p-part of Bernoulli numbers: -1/p exactly when (p-1) | n and the
     index is 1 or even; p-integral otherwise. The squarefree check sieves
     only to isqrt(den), since p*p | den forces p <= isqrt(den)."""
-    bound = 60 if max_n is None else max_n
     records: list[CheckRecord] = []
     for p in primes_upto(13):
         bad = 0
@@ -404,11 +395,10 @@ def _case_table_residue(n: int, k: int, p: int) -> int:
     return 1 if k % (p - 1) == 0 else 0
 
 
-def suite_bernoulli_sum(max_n: int | None = None) -> list[CheckRecord]:
+def suite_bernoulli_sum(bound: int) -> list[CheckRecord]:
     """Leading p-part of sum(C(k,j) B_(n-j)): extraction vs predicted residue,
     the closed-form case table for odd p, and the binomial congruences it
     rests on."""
-    bound = 18 if max_n is None else max_n
     records: list[CheckRecord] = []
     for p in (2, 3, 5, 7):
         for n in range(2, bound + 1):
@@ -451,9 +441,10 @@ def suite_bernoulli_sum(max_n: int | None = None) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # reference-table suites
 
+@lru_cache(maxsize=None)
 def _reference_row(row):
     """(row, coeff, e, a_hat): one alg2 run, and the leading part of its
-    tilde form at row.p."""
+    tilde form at row.p; cached per process."""
     c = coeff_alg2(WordSpec(True, row.runs))
     lt = extract_leading(_tilde_scale(row.runs) * c, row.p)
     return row, c, lt.e, lt.a_hat
@@ -469,18 +460,22 @@ def table1_computed():
 def table2_computed():
     """The three large-degree rows, recomputed: (row, coeff, e, a_hat).
 
-    About ten seconds of big-integer work on one core; cached per process.
+    About ten seconds of big-integer work on one core.
     """
-    out = []
+    return tuple(map(_reference_row, TABLE2))
+
+
+def table2_rows(bound: int | None = None):
+    """The table2_computed rows of degree <= bound (all rows by default),
+    one at a time, each announced on stderr whether cached or not."""
     for row in TABLE2:
-        _progress(f"computing degree-{row.n} coefficient ({len(row.runs)} blocks) ...")
-        out.append(_reference_row(row))
-    return tuple(out)
+        if bound is None or row.n <= bound:
+            _progress(f"computing degree-{row.n} coefficient ({len(row.runs)} blocks) ...")
+            yield _reference_row(row)
 
 
-def suite_table1(max_n: int | None = None) -> list[CheckRecord]:
+def suite_table1() -> list[CheckRecord]:
     """Exact reference coefficients at p = 7, plus construction provenance."""
-    del max_n
     records: list[CheckRecord] = []
     for row, c, e, a_hat in table1_computed():
         inputs = f"n={row.n} m={row.m} runs={','.join(map(str, row.runs))}"
@@ -502,12 +497,11 @@ def suite_table1(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_table2(max_n: int | None = None) -> list[CheckRecord]:
+def suite_table2(bound: int) -> list[CheckRecord]:
     """Large-degree extreme words: size of the reduced coefficient and its
     leading p-part, and the alg2 value against the Goldberg product route."""
-    del max_n
     records: list[CheckRecord] = []
-    for row, c, e, a_hat in table2_computed():
+    for row, c, e, a_hat in table2_rows(bound):
         inputs = f"n={row.n} p={row.p} m={row.m}"
         w = witness_runs(row.n, row.p)
         _eq(records, "large-degree-construction", inputs, row.runs, w.runs)
@@ -523,10 +517,9 @@ def suite_table2(max_n: int | None = None) -> list[CheckRecord]:
     return records
 
 
-def suite_qset(max_n: int | None = None) -> list[CheckRecord]:
+def suite_qset(bound: int) -> list[CheckRecord]:
     """Exhaustive partition scans against the recorded extreme sets; the
     default bound leaves out the slower rows past degree 33."""
-    bound = 33 if max_n is None else max_n
     records: list[CheckRecord] = []
     for (n, p), expected in sorted(QSET_REFERENCE.items()):
         if n > bound:
@@ -540,24 +533,28 @@ def suite_qset(max_n: int | None = None) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # registry
 
+# name -> (suite, default bound, limit).  A sweep's limit is the largest bound
+# measured within about 10 s of CPU and 100 MiB on one core, Python 3.11; a
+# row suite checks its rows of degree <= bound; a fixed grid takes no bound.
 SUITES = {
-    "dn-list": suite_dn_list,
-    "partition-lcm": suite_partition_lcm,
-    "min-degree": suite_min_degree,
-    "oracle-agreement": suite_oracle_agreement,
-    "two-block": suite_two_block,
-    "goldberg-symmetry": suite_goldberg_symmetry,
-    "denominator-divides": suite_denominator_divides,
-    "lcm-brute": suite_lcm_brute,
-    "witness": suite_witness,
-    "lemma-binomials": suite_lemma_binomials,
-    "lemma3": suite_lemma3,
-    "stirling": suite_stirling,
-    "bernoulli-vsc": suite_bernoulli_vsc,
-    "bernoulli-sum": suite_bernoulli_sum,
-    "table1": suite_table1,
-    "table2": suite_table2,
-    "qset": suite_qset,
+    "dn-list": (suite_dn_list, 200, 4000),
+    "partition-lcm": (suite_partition_lcm, 30, PARTITION_LCM_MAX),
+    "min-degree": (suite_min_degree, None, None),
+    "oracle-agreement": (suite_oracle_agreement, 10, 14),
+    "two-block": (suite_two_block, 20, 54),
+    "goldberg-symmetry": (suite_goldberg_symmetry, 9, 17),
+    "denominator-divides": (suite_denominator_divides, 12, 15),
+    "lcm-brute": (suite_lcm_brute, 12, BRUTE_DEGREE_MAX),
+    "witness": (suite_witness, 40, 180),
+    "lemma-binomials": (suite_lemma_binomials, 500, 5000),
+    "lemma3": (suite_lemma3, None, None),
+    "stirling": (suite_stirling, 60, 750),
+    # B_360 would sieve to 147M; every index below it, to 3.1M or less
+    "bernoulli-vsc": (suite_bernoulli_vsc, 60, 359),
+    "bernoulli-sum": (suite_bernoulli_sum, 18, 120),
+    "table1": (suite_table1, None, None),
+    "table2": (suite_table2, 255, None),
+    "qset": (suite_qset, 33, None),
 }
 
 
@@ -566,10 +563,15 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[CheckRecord]:
-    """Run one named suite."""
+    """Run one named suite at bound max_n, or at its default bound."""
     try:
-        func = SUITES[name]
+        func, default, limit = SUITES[name]
     except KeyError:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None
-    return func(max_n)
+    if default is None:
+        return func()
+    bound = default if max_n is None else max_n
+    if limit is not None and bound > limit:
+        raise ValueError(f"suite {name} guard: --max-n <= {limit}, got {bound}")
+    return func(bound)

@@ -8,7 +8,6 @@ from bchcoeff.analysis import (
     BRUTE_DEGREE_MAX,
     Lemma3Class,
     Partition,
-    QSET_ALG2_DEGREE_MAX,
     QSET_DEGREE_MAX,
     bernoulli_sum_residue,
     brute_lcm_degree,
@@ -17,9 +16,9 @@ from bchcoeff.analysis import (
     lemma3_sides,
     q_set,
 )
-from bchcoeff.denominators import capital_denominator
-from bchcoeff.exactmath import PADIC_INFINITY, vp
-from bchcoeff.goldberg import bernoulli_binomial_sum, coeff_tilde
+from bchcoeff.denominators import capital_denominator, l_exponent, partitions
+from bchcoeff.exactmath import PADIC_INFINITY, legendre_vp_factorial, vp
+from bchcoeff.goldberg import WordSpec, bernoulli_binomial_sum, coeff_alg2, coeff_tilde
 from bchcoeff.special import bernoulli
 
 
@@ -170,18 +169,20 @@ class TestQSet:
         assert tuple(q.parts for q in q_set(15, 2)) == ((8, 4, 2, 1),)
 
     def test_methods_agree(self):
+        # reference: the alg2 recurrences on every partition, one shared
+        # denominator per degree, kept only where the valuation is extreme
         for n in range(1, 21):
+            d = capital_denominator(n)
+            coeffs = [(parts, coeff_alg2(WordSpec(True, parts), common_denominator=d))
+                      for parts in partitions(n)]
             for p in (2, 3, 5):
-                assert q_set(n, p, method="alg2") == q_set(n, p, method="goldberg"), (n, p)
+                target = legendre_vp_factorial(n, p) + l_exponent(n, p)
+                expected = tuple(parts for parts, c in coeffs if vp(c.denominator, p) == target)
+                assert tuple(q.parts for q in q_set(n, p)) == expected, (n, p)
 
     def test_guards(self):
         with pytest.raises(ValueError, match=f"n <= {QSET_DEGREE_MAX}, got"):
             q_set(QSET_DEGREE_MAX + 1, 2)
-        with pytest.raises(ValueError, match=f"alg2 .* n <= {QSET_ALG2_DEGREE_MAX}, got"):
-            q_set(QSET_ALG2_DEGREE_MAX + 1, 2, method="alg2")
-        assert QSET_ALG2_DEGREE_MAX < QSET_DEGREE_MAX
-        with pytest.raises(ValueError):
-            q_set(10, 2, method="fast")
         with pytest.raises(ValueError):
             q_set(10, 9)
 

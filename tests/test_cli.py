@@ -5,8 +5,8 @@ import pytest
 
 from bchcoeff import verify
 from bchcoeff.analysis import QSET_DEGREE_MAX
-from bchcoeff.cli import run
-from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX
+from bchcoeff.cli import DENOM_DEGREE_MAX, run
+from bchcoeff.goldberg import ALG2_DEGREE_MAX, BERNOULLI_DEGREE_MAX, COEFF_DEGREE_MAX
 
 # stdout, stderr and exit status of fast commands, captured once; any byte
 # of difference is a behaviour change
@@ -79,7 +79,8 @@ class TestCoeff:
         assert run(["coeff", "--word", "ABC"]) == 2
 
     def test_degree_guards(self, capsys):
-        for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX)):
+        for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX),
+                              ("bernoulli", BERNOULLI_DEGREE_MAX)):
             assert run(["coeff", "--runs", f"{limit},1", "--method", method]) == 2
             out, err = lines_of(capsys)
             assert out == ""
@@ -124,6 +125,16 @@ class TestDenom:
 
     def test_rejects(self, capsys):
         assert run(["denom", "--n", "0"]) == 2
+
+    def test_guard(self, capsys):
+        # the last degree whose n! * d_n still converts to text
+        assert run(["denom", "--n", f"{DENOM_DEGREE_MAX}"]) == 0
+        out, _ = lines_of(capsys)
+        assert out.startswith(f"d_{DENOM_DEGREE_MAX} = ")
+        assert run(["denom", "--n", f"{DENOM_DEGREE_MAX + 1}"]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err == f"error: denom degree guard: n <= {DENOM_DEGREE_MAX}, got {DENOM_DEGREE_MAX + 1}\n"
 
 
 class TestWitness:
@@ -188,6 +199,29 @@ class TestVerifyCommand:
             "degree-lcm | n=1 | expected 1 | actual 1 | PASS",
         ]
         assert err == "error: suite two-block ran no checks with --max-n 1\n"
+
+    @pytest.mark.parametrize("name", sorted(n for n, entry in verify.SUITES.items() if entry[2] is not None))
+    def test_guard(self, capsys, name):
+        limit = verify.SUITES[name][2]
+        assert run(["verify", "--suite", name, "--max-n", f"{limit + 1}"]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err == f"error: suite {name} guard: --max-n <= {limit}, got {limit + 1}\n"
+
+    def test_table2_below_every_row(self, capsys):
+        assert run(["verify", "--suite", "table2", "--max-n", "160"]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err == "error: suite table2 ran no checks with --max-n 160\n"
+
+    def test_table2_progress_on_every_call(self, capsys):
+        # the rows are cached per process; their progress lines are not
+        assert run(["verify", "--suite", "table2"]) == 0
+        _, first = lines_of(capsys)
+        assert run(["verify", "--suite", "table2"]) == 0
+        _, second = lines_of(capsys)
+        assert first == second
+        assert first.startswith("computing degree-161 coefficient (9 blocks) ...\n")
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -285,9 +319,6 @@ class TestParser:
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_output(case, capsys):
-    # the table2 rows report progress on stderr only while they compute, so
-    # drop the per-process cache to print what a fresh process prints
-    verify.table2_computed.cache_clear()
     assert run(case["argv"]) == case["exit"]
     out, err = lines_of(capsys)
     assert out == case["stdout"]

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -39,9 +40,17 @@ class TestRegistry:
         assert set(suite_names()) == EXPECTED_SUITES
 
     def test_registry_shape(self):
-        for name, func in SUITES.items():
+        for name, (func, default, limit) in SUITES.items():
             assert callable(func), name
             assert func.__doc__, name
+            # a fixed grid has neither; a row suite has only a default
+            if default is None:
+                assert limit is None, name
+            elif limit is not None:
+                assert 1 <= default <= limit, name
+        assert {name for name, (_, _, limit) in SUITES.items() if limit is None} == {
+            "min-degree", "lemma3", "table1", "table2", "qset",
+        }
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -86,6 +95,31 @@ class TestRunning:
         wide = run_suite("dn-list", 50)
         narrow = run_suite("dn-list", 30)
         assert len(wide) == len(narrow) + 20
+
+
+LIMITED = sorted(name for name, (_, _, limit) in SUITES.items() if limit is not None)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("name", LIMITED)
+    def test_past_the_limit_raises_at_once(self, name):
+        limit = SUITES[name][2]
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"suite {name} guard: --max-n <= {limit}, got {limit + 1}"):
+            run_suite(name, limit + 1)
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("name", sorted(set(SUITES) - {"table2", "qset"}))
+    def test_smoke_bound_checks_something(self, name):
+        # a fixed grid ignores the bound; a sweep at 8 still has records
+        records = run_suite(name, 8)
+        assert records and all(r.passed for r in records)
+
+    def test_table2_skips_rows_above_the_bound(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(bchcoeff.verify, "_reference_row", computed.append)
+        assert run_suite("table2", 160) == []
+        assert computed == []
 
 
 class TestBernoulliSquarefree:
