@@ -20,7 +20,15 @@ from .denominators import (
     min_degree_with_l,
 )
 from .exactmath import legendre_vp_factorial, vp
-from .goldberg import METHODS, WordSpec, coeff_word
+from .goldberg import (
+    ALG2_DEGREE_MAX,
+    BERNOULLI_DEGREE_MAX,
+    COEFF_DEGREE_MAX,
+    METHODS,
+    SERIES_ORACLE_MAX,
+    WordSpec,
+    coeff_word,
+)
 from .refdata import DN_REFERENCE, MIN_DEGREE_REFERENCE
 from .verify import run_suite, suite_names, table1_computed, table2_rows
 from .witness import witness_runs
@@ -30,6 +38,13 @@ __all__ = ["main", "run"]
 # past this degree n! * d_n has more than 4300 digits, CPython's default
 # limit for converting an int to text
 DENOM_DEGREE_MAX = 1552
+# coeff announces its work only when the method's degree guard lets it run
+_METHOD_DEGREE_MAX = {
+    "alg2": ALG2_DEGREE_MAX,
+    "goldberg": COEFF_DEGREE_MAX,
+    "bernoulli": BERNOULLI_DEGREE_MAX,
+    "oracle": SERIES_ORACLE_MAX,
+}
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -58,6 +73,8 @@ def _cmd_coeff(args) -> int:
         word = WordSpec.from_letters(args.word)
     else:
         word = WordSpec(not args.b_first, _parse_runs(args.runs))
+    if word.degree <= _METHOD_DEGREE_MAX[args.method]:
+        print(f"computing the degree-{word.degree} coefficient ...", file=sys.stderr, flush=True)
     c = coeff_word(word, method=args.method)
     label = f"runs={_runs_str(word.runs)} {'A' if word.a_first else 'B'}-first degree={word.degree}"
     if args.digits_only:

@@ -83,30 +83,40 @@ def capital_denominator(n: int) -> int:
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples, reverse-lexicographic.
 
-    Iterative successor stepping, no recursion: strip trailing 1s, decrement
-    the last part above 1, and refill greedily.
+    Knuth's Algorithm P (TAOCP 7.2.1.4): a[1..m] is the partition and q
+    indexes its last part above 1, so a step never walks over the trailing
+    1s.  Decrement a[q] and refill greedily after it; a 2 at a[q] just
+    splits into 1 + 1.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         yield ()
         return
-    parts = [n]
+    a = [0] * (n + 1)  # a[0] = 0 stops q at 0 once every part is 1
+    m = 1
+    rest = n
     while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
+        a[m] = rest
+        q = m - (rest == 1)
+        while True:
+            yield tuple(a[1:m + 1])
+            if a[q] != 2:
+                break
+            a[q] = 1
+            q -= 1
+            m += 1
+            a[m] = 1
+        if q == 0:
             return
-        parts[-1] -= 1
-        fill = parts[-1]
-        total = ones + 1
-        while total:
-            t = min(fill, total)
-            parts.append(t)
-            total -= t
+        x = a[q] - 1
+        a[q] = x
+        rest = m - q + 1
+        m = q + 1
+        while rest > x:
+            a[m] = x
+            m += 1
+            rest -= x
 
 
 def partition_lcm(n: int) -> int:

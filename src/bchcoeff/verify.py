@@ -19,7 +19,6 @@ from functools import lru_cache
 from .analysis import (
     BRUTE_DEGREE_MAX,
     bernoulli_sum_residue,
-    brute_lcm_degree,
     expected_a,
     extract_leading,
     lemma3_sides,
@@ -133,6 +132,14 @@ def suite_partition_lcm(bound: int) -> list[CheckRecord]:
     return records
 
 
+def _digit_sums(limit: int, p: int) -> list[int]:
+    """s_p(m) for every 0 <= m < limit, each from the one of m // p."""
+    sums = [0] * limit
+    for m in range(1, limit):
+        sums[m] = sums[m // p] + m % p
+    return sums
+
+
 def suite_min_degree() -> list[CheckRecord]:
     """Smallest degrees carrying p^l: reference values, and exhaustive minimality."""
     records: list[CheckRecord] = []
@@ -142,7 +149,9 @@ def suite_min_degree() -> list[CheckRecord]:
         _eq(records, "min-degree-attains", f"p={p} l={l}", l, l_exponent(got, p))
     for p, l in ((2, 2), (2, 3), (2, 4), (3, 2), (5, 2)):
         target = min_degree_with_l(p, l)
-        below = sum(1 for m in range(1, target) if l_exponent(m, p) >= l)
+        # l(m, p) >= l exactly when s_p(m) >= p**l
+        power = p**l
+        below = sum(1 for s in _digit_sums(target, p)[1:] if s >= power)
         _eq(records, "min-degree-minimal", f"p={p} l={l} scanned {target - 1}", 0, below)
     for p, l in ((3, 3), (5, 3)):
         got = min_degree_with_l(p, l)
@@ -158,11 +167,22 @@ def _words_of_degree(n: int):
         yield WordSpec.from_letters("".join(letters))
 
 
+def _denominators_by_degree(bound: int) -> list[list[int]]:
+    """The coefficient denominators of every word of length n <= bound, at
+    index n, from one oracle build: a degree-n coefficient does not depend on
+    where the series is truncated."""
+    by_degree: list[list[int]] = [[] for _ in range(bound + 1)]
+    for word, coeff in series_oracle(bound).items():
+        by_degree[len(word)].append(coeff.denominator)
+    return by_degree
+
+
 def suite_oracle_agreement(bound: int) -> list[CheckRecord]:
-    """All three word-level routes agree with the brute-force expansion."""
+    """All three word-level routes agree with the brute-force expansion,
+    built once through the bound."""
     records: list[CheckRecord] = []
+    oracle = series_oracle(bound)
     for n in range(1, bound + 1):
-        oracle = series_oracle(n)
         d = capital_denominator(n)
         bad = []
         for word in _words_of_degree(n):
@@ -213,25 +233,25 @@ def suite_goldberg_symmetry(bound: int) -> list[CheckRecord]:
 
 
 def suite_denominator_divides(bound: int) -> list[CheckRecord]:
-    """Every degree-n coefficient denominator divides n! * d_n."""
+    """Every degree-n coefficient denominator divides n! * d_n; one oracle
+    build serves every degree."""
     records: list[CheckRecord] = []
+    by_degree = _denominators_by_degree(bound)
     for n in range(1, bound + 1):
         cap = capital_denominator(n)
-        bad = sum(
-            1
-            for word, coeff in series_oracle(n).items()
-            if len(word) == n and cap % coeff.denominator
-        )
+        bad = sum(1 for den in by_degree[n] if cap % den)
         _ok(records, "denominator-divides", f"degree={n}",
             bad == 0, "all divide n!*d_n", f"{bad} exceptions")
     return records
 
 
 def suite_lcm_brute(bound: int) -> list[CheckRecord]:
-    """Per-degree lcm of denominators equals n! * d_n; per-prime maxima match."""
+    """Per-degree lcm of denominators equals n! * d_n; per-prime maxima match.
+    One oracle build serves every degree."""
     records: list[CheckRecord] = []
+    by_degree = _denominators_by_degree(bound)
     for n in range(1, bound + 1):
-        brute = brute_lcm_degree(n)
+        brute = math.lcm(*by_degree[n])
         _eq(records, "degree-lcm", f"n={n}", capital_denominator(n), brute)
         # the largest v_p over a set of denominators is v_p of their lcm
         for p in primes_upto(n - 1):

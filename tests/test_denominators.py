@@ -4,6 +4,7 @@ import pytest
 
 from conftest import read_bfile
 
+from bchcoeff.analysis import QSET_DEGREE_MAX
 from bchcoeff.denominators import (
     PARTITION_LCM_MAX,
     capital_denominator,
@@ -115,9 +116,28 @@ class TestPartitions:
                     assert parts < prev  # reverse-lexicographic
                 prev = parts
 
+    def test_matches_recursive_reference(self):
+        for n in range(31):
+            assert list(partitions(n)) == list(_reference_partitions(n)), n
+
+    def test_count_at_qset_limit(self):
+        # the analysis.QSET_DEGREE_MAX comment counts p(48) = 147273 partitions
+        assert QSET_DEGREE_MAX == 48
+        assert sum(1 for _ in partitions(QSET_DEGREE_MAX)) == 147273
+
     def test_rejects(self):
         with pytest.raises(ValueError):
             list(partitions(-1))
+
+
+def _reference_partitions(n, largest=None):
+    """Partitions of n with parts <= largest, largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _reference_partitions(n - first, first):
+            yield (first,) + rest
 
 
 class TestPartitionLcm:

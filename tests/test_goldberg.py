@@ -261,6 +261,14 @@ class TestSeriesOracle:
         with pytest.raises(TypeError):
             h["AB"] = 0
 
+    def test_truncation(self):
+        # the verify suites build the oracle once and read every lower degree
+        # from it
+        for big in range(2, 11):
+            full = series_oracle(big)
+            for n in range(1, big):
+                assert series_oracle(n) == {w: c for w, c in full.items() if len(w) <= n}
+
     def test_guard(self):
         with pytest.raises(ValueError):
             series_oracle(0)

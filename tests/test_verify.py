@@ -91,6 +91,29 @@ class TestRunning:
         assert len(records) == 11 + 5
         assert all(r.passed for r in records)
 
+    def test_min_degree_scan_catches_a_late_formula(self, monkeypatch):
+        # a closed form one past the true smallest degree leaves that degree
+        # inside the digit-sum scan, which must then count it
+        true = bchcoeff.verify.min_degree_with_l
+        monkeypatch.setattr(bchcoeff.verify, "min_degree_with_l", lambda p, l: true(p, l) + 1)
+        minimal = [r for r in run_suite("min-degree") if r.claim == "min-degree-minimal"]
+        assert len(minimal) == 5
+        assert not any(r.passed for r in minimal)
+
+    @pytest.mark.parametrize("name", ["oracle-agreement", "denominator-divides", "lcm-brute"])
+    def test_oracle_suites_build_once(self, name, monkeypatch):
+        degrees = []
+        oracle = bchcoeff.verify.series_oracle
+
+        def counted(max_degree):
+            degrees.append(max_degree)
+            return oracle(max_degree)
+
+        monkeypatch.setattr(bchcoeff.verify, "series_oracle", counted)
+        records = run_suite(name, 6)
+        assert records and all(r.passed for r in records)
+        assert degrees == [6]
+
     def test_max_n_narrows_dn_sweep(self):
         wide = run_suite("dn-list", 50)
         narrow = run_suite("dn-list", 30)
