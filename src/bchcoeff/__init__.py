@@ -4,6 +4,9 @@ The package computes word coefficients of the series exactly, the smallest
 common denominator of each homogeneous component, and the extreme words whose
 coefficients actually need that denominator.  Everything is integer or
 rational arithmetic; there is no floating point anywhere.
+
+The verification suites and the command line are the submodules
+``bchcoeff.verify`` and ``bchcoeff.cli``; importing the package loads neither.
 """
 
 from .analysis import (
@@ -61,7 +64,6 @@ from .goldberg import (
     series_oracle,
 )
 from .special import bernoulli, stirling2, stirling2_from_sum
-from .verify import CheckRecord, run_suite, suite_names
 from .witness import (
     WitnessBranch,
     WitnessResult,
@@ -78,7 +80,6 @@ __all__ = [
     "BERNOULLI_DEGREE_MAX",
     "BRUTE_DEGREE_MAX",
     "COEFF_DEGREE_MAX",
-    "CheckRecord",
     "DenominatorRecord",
     "IntegerExactnessError",
     "LeadingTerm",
@@ -125,11 +126,9 @@ __all__ = [
     "q_set",
     "rational_from_str",
     "require_prime",
-    "run_suite",
     "series_oracle",
     "stirling2",
     "stirling2_from_sum",
-    "suite_names",
     "vp",
     "witness_runs",
 ]

@@ -10,7 +10,7 @@ exhaustive by design and carry explicit size guards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -46,13 +46,11 @@ BRUTE_DEGREE_MAX = 14
 QSET_DEGREE_MAX = 48
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
-    """x = a_hat / p**e + u_hat with 0 <= a_hat < p and vp(u_hat) > -e."""
+class LeadingTerm(namedtuple("LeadingTerm", "e a_hat u_hat")):
+    """x = a_hat / p**e + u_hat with 0 <= a_hat < p and vp(u_hat) > -e
+    (e, a_hat: int; u_hat: Fraction)."""
 
-    e: int
-    a_hat: int
-    u_hat: Fraction
+    __slots__ = ()
 
 
 def extract_leading(x: Fraction | int, p: int) -> LeadingTerm:
@@ -145,17 +143,22 @@ def brute_lcm_degree(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive parts."""
+class Partition(namedtuple("Partition", "parts")):
+    """A weakly decreasing tuple of positive parts (parts: tuple[int, ...])."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, parts) -> "Partition":
         # the run lengths of a word: nonempty positive integers
-        object.__setattr__(self, "parts", WordSpec(True, self.parts).runs)
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+        parts = WordSpec(True, parts).runs
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, iterable) -> "Partition":
+        # _replace builds through _make; both go through the checks above
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

@@ -129,7 +129,8 @@ def _cmd_denom(args) -> int:
 
 def _cmd_witness(args) -> int:
     w = witness_runs(args.n, args.p)
-    print(f"computing the degree-{args.n} coefficient ...", file=sys.stderr, flush=True)
+    if args.n <= COEFF_DEGREE_MAX:
+        print(f"computing the degree-{args.n} coefficient ...", file=sys.stderr, flush=True)
     c = coeff_word(w.word)
     valuation = vp(c.denominator, args.p)
     target = legendre_vp_factorial(args.n, args.p) + w.l

@@ -13,7 +13,7 @@ enumeration and serves as an independent check on the product formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .exactmath import digit_sum, primes_upto, require_prime
@@ -47,14 +47,14 @@ def l_exponent(n: int, p: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class DenominatorRecord:
-    """d_n and D_n together with the prime factorization of d_n."""
+class DenominatorRecord(namedtuple("DenominatorRecord", "n dn capital factorization")):
+    """d_n and D_n together with the prime factorization of d_n.
 
-    n: int
-    dn: int
-    capital: int
-    factorization: tuple[tuple[int, int], ...]  # (prime, exponent), ascending
+    n, dn, capital: int; factorization: tuple[tuple[int, int], ...], the
+    (prime, exponent) pairs in ascending order.
+    """
+
+    __slots__ = ()
 
 
 def denominator_record(n: int) -> DenominatorRecord:

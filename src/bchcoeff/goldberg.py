@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .denominators import capital_denominator
-from .special import bernoulli, stirling2
+from .special import _stirling_row, bernoulli
 
 __all__ = [
     "ALG2_DEGREE_MAX",
@@ -74,27 +74,32 @@ def _exact_div(a: int, b: int, what: str) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class WordSpec:
-    """A word over {A, B}: the letter it starts with, plus maximal run lengths.
+class WordSpec(namedtuple("WordSpec", "a_first runs")):
+    """A word over {A, B}: the letter it starts with (a_first: bool), plus
+    maximal run lengths (runs: tuple[int, ...]).
 
     AABAB is WordSpec(a_first=True, runs=(2, 1, 1, 1)).
     """
 
-    a_first: bool
-    runs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        runs = tuple(self.runs)
+    def __new__(cls, a_first: bool, runs) -> "WordSpec":
+        runs = tuple(runs)
         try:
             # a float is not truncated and a string is not parsed
-            object.__setattr__(self, "runs", tuple(map(operator.index, runs)))
+            ints = tuple(map(operator.index, runs))
         except TypeError:
             raise ValueError(f"run lengths must be integers, got {runs}") from None
-        if not self.runs:
+        if not ints:
             raise ValueError("a word needs at least one run")
-        if any(q < 1 for q in self.runs):
-            raise ValueError(f"run lengths must be positive: {self.runs}")
+        if any(q < 1 for q in ints):
+            raise ValueError(f"run lengths must be positive: {ints}")
+        return super().__new__(cls, a_first, ints)
+
+    @classmethod
+    def _make(cls, iterable) -> "WordSpec":
+        # _replace builds through _make; both go through the checks above
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -193,7 +198,8 @@ def _tilde_scale(runs: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _block_poly(q: int) -> tuple[int, ...]:
     """P_q(x) = sum((-1)^j j! S(q, j) x^j for j = 1..q), lowest power first."""
-    return (0, *((-1) ** j * math.factorial(j) * stirling2(q, j) for j in range(1, q + 1)))
+    row = _stirling_row(q)
+    return (0, *((-1) ** j * math.factorial(j) * row[j] for j in range(1, q + 1)))
 
 
 def _poly_mul(a, b) -> list[int]:

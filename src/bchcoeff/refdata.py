@@ -9,7 +9,7 @@ data directory, and a test pins the two copies to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "DN_REFERENCE",
@@ -28,18 +28,13 @@ DN_REFERENCE = (
 )
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """A worked coefficient at p = 7: exact value and its leading 7-part."""
+class Table1Row(namedtuple("Table1Row", "n p l m runs coeff e a_hat")):
+    """A worked coefficient at p = 7: exact value and its leading 7-part.
 
-    n: int
-    p: int
-    l: int
-    m: int
-    runs: tuple[int, ...]
-    coeff: str  # "num/den", or "0"
-    e: int
-    a_hat: int
+    runs: tuple[int, ...]; coeff: str, "num/den" or "0"; every other field int.
+    """
+
+    __slots__ = ()
 
 
 TABLE1 = (
@@ -59,19 +54,13 @@ TABLE1 = (
 )
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    """A large-degree extreme word: coefficient size and leading p-part."""
+class Table2Row(namedtuple("Table2Row", "n p l m runs num_digits den_digits e a_hat")):
+    """A large-degree extreme word: coefficient size and leading p-part.
 
-    n: int
-    p: int
-    l: int
-    m: int
-    runs: tuple[int, ...]
-    num_digits: int
-    den_digits: int
-    e: int
-    a_hat: int
+    runs: tuple[int, ...]; every other field int.
+    """
+
+    __slots__ = ()
 
 
 TABLE2 = (

@@ -6,7 +6,9 @@ from the triangular recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1), with the
 alternating binomial sum available as an independent cross-check.
 
 Both families are memoized into append-only tables guarded by one lock, so
-concurrent callers never observe a partially built entry.
+concurrent callers never observe a partially built entry.  The Stirling
+triangle keeps rows only up to q = 300; past it one row is kept, rolled
+forward to the next q asked for.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ __all__ = ["bernoulli", "stirling2", "stirling2_from_sum"]
 _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
 _stirling_rows: list[list[int]] = [[1]]  # row q holds S(q, j) for j = 0..q
+# the triangle stops here: row q holds about q^2 log2(q) bits, so a triangle up
+# to one block at the coefficient guard (q = 1100) would pin 280 MiB for the life
+# of the process; the TABLE2 rows and every suite at its default bound stay below
+_STIRLING_SHARED_MAX = 300
+_stirling_far: tuple[int, list[int]] | None = None  # (q, row) for one q past the triangle
 
 
 def bernoulli(n: int) -> Fraction:
@@ -48,17 +55,40 @@ def stirling2(q: int, j: int) -> int:
         raise ValueError(f"q and j must be >= 1, got q={q}, j={j}")
     if j > q:
         return 0
-    if q >= len(_stirling_rows):
-        with _lock:
-            while len(_stirling_rows) <= q:
-                prev = _stirling_rows[-1]
-                qq = len(_stirling_rows)
-                row = [0] * (qq + 1)
-                for jj in range(1, qq):
-                    row[jj] = jj * prev[jj] + prev[jj - 1]
-                row[qq] = 1
-                _stirling_rows.append(row)
-    return _stirling_rows[q][j]
+    return _stirling_row(q)[j]
+
+
+def _next_stirling_row(prev: list[int]) -> list[int]:
+    q = len(prev)
+    row = [0] * (q + 1)
+    for j in range(1, q):
+        row[j] = j * prev[j] + prev[j - 1]
+    row[q] = 1
+    return row
+
+
+def _stirling_row(q: int) -> list[int]:
+    """S(q, j) for j = 0..q, as a list the caller must not modify.
+
+    Past the triangle the kept row rolls forward when q is at or above it, and
+    restarts from the triangle's last row otherwise, so an ascending scan builds
+    each row once.
+    """
+    global _stirling_far
+    if q < len(_stirling_rows):
+        return _stirling_rows[q]
+    with _lock:
+        while len(_stirling_rows) <= min(q, _STIRLING_SHARED_MAX):
+            _stirling_rows.append(_next_stirling_row(_stirling_rows[-1]))
+        if q <= _STIRLING_SHARED_MAX:
+            return _stirling_rows[q]
+        if _stirling_far is None or _stirling_far[0] > q:
+            _stirling_far = (_STIRLING_SHARED_MAX, _stirling_rows[-1])
+        start, row = _stirling_far
+        for _ in range(start, q):
+            row = _next_stirling_row(row)
+        _stirling_far = (q, row)
+        return row
 
 
 def stirling2_from_sum(q: int, j: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -74,13 +74,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    claim: str
-    inputs: str
-    expected: str
-    actual: str
-    passed: bool
+class CheckRecord(namedtuple("CheckRecord", "claim inputs expected actual passed")):
+    """One check of a suite: claim, inputs, expected, actual (str) and passed (bool)."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -17,7 +17,7 @@ The resulting word is always A-first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .denominators import l_exponent
@@ -42,16 +42,13 @@ class WitnessBranch(Enum):
     POWER_M_PLUS_1 = "power-m-plus-1"
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    """The constructed word plus everything the construction branched on."""
+class WitnessResult(namedtuple("WitnessResult", "n p l m runs branch")):
+    """The constructed word plus everything the construction branched on.
 
-    n: int
-    p: int
-    l: int
-    m: int
-    runs: tuple[int, ...]
-    branch: WitnessBranch
+    n, p, l, m: int; runs: tuple[int, ...]; branch: WitnessBranch.
+    """
+
+    __slots__ = ()
 
     @property
     def word(self) -> WordSpec:

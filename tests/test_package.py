@@ -33,6 +33,19 @@ def test_import_starts_no_process_machinery():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_out_verification_and_dataclasses():
+    # the package root loads only the computing modules; the verify suites,
+    # their reference data and the CLI load when asked for
+    code = ("import sys, bchcoeff; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'bchcoeff.verify', "
+            "'bchcoeff.refdata', 'bchcoeff.cli') if m in sys.modules)); "
+            "import bchcoeff.verify; "
+            "print(all(r.passed for r in bchcoeff.verify.run_suite('table1')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE_DIR.parent)
+    assert out.stdout.split() == ["[]", "True"]
+
+
 @pytest.mark.parametrize("suite_args", [
     ["--suite", "table1"],
     ["--suite", "oracle-agreement", "--max-n", "8"],

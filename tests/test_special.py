@@ -1,10 +1,13 @@
 import math
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+from bchcoeff import special
 from bchcoeff.exactmath import primes_upto
+from bchcoeff.goldberg import COEFF_DEGREE_MAX, coeff_goldberg_sum
 from bchcoeff.special import bernoulli, stirling2, stirling2_from_sum
 
 
@@ -102,23 +105,54 @@ class TestStirling:
             stirling2_from_sum(0, 0)
 
 
+class TestStirlingMemory:
+    CAP = 300  # the last row of the shared triangle
+
+    def test_triangle_stops_at_the_cap(self):
+        # one block at the coefficient guard needs row 1100 of the triangle
+        assert coeff_goldberg_sum((COEFF_DEGREE_MAX,)) == 0
+        assert len(special._stirling_rows) <= self.CAP + 1
+
+    @pytest.mark.parametrize("offsets", [
+        (1, 2, 3, 40, 90),    # ascending: the kept row rolls forward
+        (90, 40, 3, 2, 1),    # descending: each restarts from the triangle
+        (7, 7, 60, 60, 7),    # repeated
+    ], ids=["ascending", "descending", "repeated"])
+    def test_rows_past_the_cap(self, offsets):
+        for q in (self.CAP + k for k in offsets):
+            for j in (1, 2, 3, q // 3, q // 2, q - 1, q):
+                assert stirling2(q, j) == stirling2_from_sum(q, j), (q, j)
+            assert stirling2(q, q + 1) == 0
+        assert len(special._stirling_rows) <= self.CAP + 1
+
+
 class TestThreadSafety:
     def test_concurrent_fill(self):
         errors = []
         values = []
 
-        def worker():
+        def worker(i):
             try:
                 values.append(bernoulli(180))
                 assert stirling2(150, 70) == stirling2_from_sum(150, 70)
+                # half the threads move the one row kept past the triangle up,
+                # half move it down
+                for q in (310, 340, 320)[::1 if i % 2 else -1]:
+                    assert stirling2(q, 70) == stirling2_from_sum(q, 70)
             except Exception as exc:  # pragma: no cover - only on failure
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         # von Staudt-Clausen: the denominator is the product of the primes p
         # with (p - 1) | 180
