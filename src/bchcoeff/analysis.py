@@ -17,6 +17,7 @@ from fractions import Fraction
 from .denominators import l_exponent
 from .exactmath import (
     PADIC_INFINITY,
+    _vp_int,
     digit_sum,
     legendre_vp_factorial,
     mod_inverse,
@@ -42,7 +43,7 @@ __all__ = [
 # per-degree brute force touches all 2^n words of that degree
 BRUTE_DEGREE_MAX = 14
 # q_set walks every partition of n (p(48) = 147273); at the limit the slowest
-# of p = 2, 3, 5, 7 takes about 8.5 s of CPU on one core, Python 3.11
+# of p = 2, 3, 5, 7 takes about 3.1 s of CPU on one core, Python 3.11
 QSET_DEGREE_MAX = 48
 
 
@@ -176,8 +177,9 @@ def q_set(n: int, p: int) -> tuple[Partition, ...]:
     if not 1 <= n <= QSET_DEGREE_MAX:
         raise ValueError(f"exhaustive-search guard: 1 <= n <= {QSET_DEGREE_MAX}, got {n}")
     target = legendre_vp_factorial(n, p) + l_exponent(n, p)
+    # p is checked above; a zero coefficient has denominator 1
     return tuple(Partition(parts) for parts, c in _partition_coeffs(n)
-                 if vp(c.denominator, p) == target)
+                 if _vp_int(c.denominator, p) == target)
 
 
 class Lemma3Class(Enum):

@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .denominators import capital_denominator
-from .special import _stirling_row, bernoulli
+from .special import _STIRLING_SHARED_MAX, _stirling_row, bernoulli
 
 __all__ = [
     "ALG2_DEGREE_MAX",
@@ -195,11 +195,25 @@ def _tilde_scale(runs: tuple[int, ...]) -> int:
     return -scale if sum(runs) % 2 else scale
 
 
-@lru_cache(maxsize=None)
+# block polynomials up to the Stirling triangle's last row are kept; past it
+# each one (about 1.2 MiB near q = 1100) is built again from the kept far row
+_block_polys: dict[int, tuple[int, ...]] = {}
+
+
 def _block_poly(q: int) -> tuple[int, ...]:
     """P_q(x) = sum((-1)^j j! S(q, j) x^j for j = 1..q), lowest power first."""
-    row = _stirling_row(q)
-    return (0, *((-1) ** j * math.factorial(j) * row[j] for j in range(1, q + 1)))
+    poly = _block_polys.get(q)
+    if poly is None:
+        row = _stirling_row(q)
+        out = [0]
+        signed_fact = 1  # (-1)^j j!
+        for j in range(1, q + 1):
+            signed_fact *= -j
+            out.append(signed_fact * row[j])
+        poly = tuple(out)
+        if q <= _STIRLING_SHARED_MAX:
+            _block_polys[q] = poly
+    return poly
 
 
 def _poly_mul(a, b) -> list[int]:
@@ -222,9 +236,17 @@ def _k_sum_weights(n: int, h: int) -> tuple[int, list[int]]:
     t and is 0 below t = 2h+1, the fewest blocks with this h.
     """
     first = 2 * h + 1
-    weights = [0] * first
-    weights += [math.factorial(t - h - 1) * math.perm(n, n - t) for t in range(first, n + 1)]
-    return (-1) ** h * math.factorial(h), weights
+    weights = [0] * (n + 1)
+    falling = 1  # n!/t!, from t = n down
+    for t in range(n, first - 1, -1):
+        weights[t] = falling
+        falling *= t
+    h_fact = math.factorial(h)
+    rising = h_fact  # (t-h-1)!, from t = 2h+1 up
+    for t in range(first, n + 1):
+        weights[t] *= rising
+        rising *= t - h
+    return -h_fact if h % 2 else h_fact, weights
 
 
 def _k_sum_numerator(poly, m: int, n: int) -> int:
@@ -275,32 +297,55 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     reverse-lexicographic order, where c is the coefficient of the A-first
     word with those runs.
 
-    A depth-first walk over the parts q >= 2: partitions sharing a prefix
+    A depth-first walk over the parts q >= 4: partitions sharing a prefix
     share its polynomial product, so each tree edge costs one multiplication
     by a block polynomial, and the edge's q! goes into the tilde scale carried
-    down with it.  Each node then ends its own leaf, the prefix followed by r
-    ones, after all its children.  As P_1(x) = -x, that leaf's product is the
-    prefix's shifted by r with sign (-1)^r; the shift goes into the k-sum and
-    no list is built.  The k-sum weights depend only on n and h = (m-1)//2,
-    so the walk computes them once per h.
+    down with it.  After its children, each node with prefix B and R left
+    ends its own leaves B + 3^a 2^b 1^r, for 3a + 2b + r = R, with a and then
+    b descending.  As P_1(x) = -x, the small parts multiply to (-x)^r S(x)
+    with S = P_3^a P_2^b, so the k-sum of the leaf is
+
+        (-1)^r * sum(poly_B[i] * V[i + r]),  V[i] = sum(S[j] * W[i + j]),
+
+    with the weights W of its h = (m-1)//2.  V depends only on (a, b, h), so
+    the walk builds each S and each V once, and multiplies only by the
+    blocks q >= 4 along the tree.
     """
     fact = [math.factorial(q) for q in range(n + 1)]
     signed_fact_n = -fact[n] if n % 2 else fact[n]
-    weights = {}
+    weights = {}  # h -> (h_scale, W)
+    small = {(0, 0): ([1], 1)}  # (a, b) -> (P_3^a P_2^b, 6^a 2^b)
+    corr = {}  # (a, b, h) -> (h_scale, V)
 
-    def walk(parts, poly, remaining, scale):
-        for q in range(min(remaining, parts[-1] if parts else n), 1, -1):
-            yield from walk(parts + (q,), _poly_mul(poly, _block_poly(q)),
-                            remaining - q, scale * fact[q])
-        h = (len(parts) + remaining - 1) // 2
+    def small_product(a, b):
+        if (a, b) not in small:
+            (s, f), q = (small_product(a, b - 1), 2) if b else (small_product(a - 1, 0), 3)
+            small[a, b] = _poly_mul(s, _block_poly(q)), f * fact[q]
+        return small[a, b]
+
+    def correlated(a, b, h):
         if h not in weights:
             weights[h] = _k_sum_weights(n, h)
         h_scale, w = weights[h]
-        # the leaf's x^(t + remaining) coefficient is (-1)^remaining poly[t]
-        acc = sum(map(operator.mul, poly, w[remaining:]))
-        if remaining % 2:
-            acc = -acc
-        yield parts + (1,) * remaining, Fraction(h_scale * acc, signed_fact_n * scale)
+        s = small_product(a, b)[0]
+        return h_scale, [sum(map(operator.mul, s, w[i:])) for i in range(n + 2 - len(s))]
+
+    def walk(parts, poly, remaining, scale):
+        for q in range(min(remaining, parts[-1] if parts else n), 3, -1):
+            yield from walk(parts + (q,), _poly_mul(poly, _block_poly(q)),
+                            remaining - q, scale * fact[q])
+        for a in range(remaining // 3, -1, -1):
+            for b in range((remaining - 3 * a) // 2, -1, -1):
+                r = remaining - 3 * a - 2 * b
+                key = a, b, (len(parts) + a + b + r - 1) // 2
+                if key not in corr:
+                    corr[key] = correlated(*key)
+                h_scale, v = corr[key]
+                acc = sum(map(operator.mul, poly, v[r:]))
+                if r % 2:
+                    acc = -acc
+                yield (parts + (3,) * a + (2,) * b + (1,) * r,
+                       Fraction(h_scale * acc, signed_fact_n * scale * small[a, b][1]))
 
     yield from walk((), [1], n, 1)
 

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 import bchcoeff
+from bchcoeff import goldberg
 from bchcoeff.denominators import capital_denominator, partitions
 from bchcoeff.goldberg import (
     ALG2_DEGREE_MAX,
@@ -14,6 +15,7 @@ from bchcoeff.goldberg import (
     METHODS,
     SERIES_ORACLE_MAX,
     WordSpec,
+    _block_poly,
     _k_sum_weights,
     _partition_coeffs,
     alg2_table,
@@ -24,6 +26,7 @@ from bchcoeff.goldberg import (
     coeff_word,
     series_oracle,
 )
+from bchcoeff.special import stirling2_from_sum
 
 H3 = {
     "AAB": Fraction(1, 12),
@@ -144,10 +147,33 @@ class TestGoldbergRoute:
 
 class TestPartitionWalk:
     def test_walk_equals_per_partition_route(self):
-        # every leaf shape occurs: (n,), (1,)*n, and folded tails of every length
-        for n in range(1, 21):
+        # every leaf shape occurs: (n,), (1,)*n, and folded tails 3^a 2^b 1^r
+        # of every length
+        for n in range(1, 25):
             expected = [(parts, coeff_goldberg_sum(parts)) for parts in partitions(n)]
             assert list(_partition_coeffs(n)) == expected, n
+
+    @pytest.mark.parametrize("n", [30, 36])
+    def test_walk_sampled(self, n):
+        leaves = list(_partition_coeffs(n))
+        assert [parts for parts, _ in leaves] == list(partitions(n))
+        for parts, c in leaves[::37]:
+            assert c == coeff_goldberg_sum(parts), parts
+
+    def test_walk_multiplies_only_the_big_parts(self, monkeypatch):
+        # one multiply per tree edge with a part >= 4, and one per product
+        # P_3^a P_2^b; a walk with one multiply per edge makes 3009 at n = 27
+        calls = 0
+        poly_mul = goldberg._poly_mul
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return poly_mul(a, b)
+
+        monkeypatch.setattr(goldberg, "_poly_mul", counting)
+        assert len(list(_partition_coeffs(27))) == 3010
+        assert calls <= 600
 
     def test_walk_is_lazy(self):
         walk = _partition_coeffs(20)
@@ -163,6 +189,23 @@ class TestPartitionWalk:
                     direct = sum(Fraction((-1) ** k * math.comb(h, k), t - k)
                                  for k in range(h + 1))
                     assert Fraction(scale * weights[t], math.factorial(n)) == direct
+
+    @pytest.mark.parametrize("n", [140, 255])
+    def test_k_sum_weights_large(self, n):
+        # the running products against W[t] = (t-h-1)! n!/t! term by term
+        for h in (0, 1, n // 4, (n - 1) // 2):
+            scale, weights = _k_sum_weights(n, h)
+            assert scale == (-1) ** h * math.factorial(h)
+            assert weights == [0] * (2 * h + 1) + [
+                math.factorial(t - h - 1) * math.perm(n, n - t)
+                for t in range(2 * h + 1, n + 1)]
+
+    @pytest.mark.parametrize("q", [1, 2, 7, 300, 301])
+    def test_block_poly(self, q):
+        # P_q(x) = sum((-1)^j j! S(q, j) x^j), on both sides of the cache cap
+        expected = [0] + [(-1) ** j * math.factorial(j) * stirling2_from_sum(q, j)
+                          for j in range(1, q + 1)]
+        assert list(_block_poly(q)) == expected
 
 
 class TestDegreeGuards:

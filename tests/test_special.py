@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bchcoeff import special
+from bchcoeff import goldberg, special
 from bchcoeff.exactmath import primes_upto
 from bchcoeff.goldberg import COEFF_DEGREE_MAX, coeff_goldberg_sum
 from bchcoeff.special import bernoulli, stirling2, stirling2_from_sum
@@ -124,6 +124,15 @@ class TestStirlingMemory:
                 assert stirling2(q, j) == stirling2_from_sum(q, j), (q, j)
             assert stirling2(q, q + 1) == 0
         assert len(special._stirling_rows) <= self.CAP + 1
+
+    def test_block_polys_stop_at_the_cap(self):
+        # each block polynomial near the guard holds about 1.2 MiB
+        assert special._STIRLING_SHARED_MAX == self.CAP
+        for q in range(1000, 1101, 4):
+            assert coeff_goldberg_sum((q,)) == 0
+        assert coeff_goldberg_sum((self.CAP, 1)) != 0
+        assert self.CAP in goldberg._block_polys
+        assert max(goldberg._block_polys) <= self.CAP
 
 
 class TestThreadSafety:
