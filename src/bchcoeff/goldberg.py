@@ -14,11 +14,14 @@ Routes, from fastest to most naive:
   table, O(n^3) big-integer work, kept as the independent cross-check.  All
   intermediate values are integers by construction; every division is checked
   and a remainder raises ``IntegerExactnessError``, since a single remainder
-  would falsify the scaling claim the whole route rests on.
+  would falsify the scaling claim the whole route rests on.  The verify
+  sweeps run it over every word of one degree at once, sharing the columns of
+  common tails.
 * ``coeff_bernoulli_m2`` -- two-block words A^(n-k) B^k via Bernoulli numbers.
-* ``series_oracle`` -- brute-force expansion of log(e^A e^B) through a given
-  degree.  Slow and memory-hungry on purpose: it is the reference the other
-  routes are tested against, and shares no code with them.
+* ``series_oracle`` -- plain expansion of log(e^A e^B) = log(1 + Y) through
+  a given degree, as a map over every word: exponential in the degree, so
+  guarded at ``SERIES_ORACLE_MAX``.  It is the reference the other routes are
+  tested against, and shares no code with them.
 """
 
 from __future__ import annotations
@@ -120,6 +123,67 @@ class WordSpec(namedtuple("WordSpec", "a_first runs")):
         return cls(text[0] == "A", tuple(len(list(g)) for _, g in groupby(text)))
 
 
+def _alg2_column(cols, fact, d, a_lead, r, q_next, blocks) -> list[int]:
+    """Column n = len(cols) of the scaled table, from the columns 0..n-1 of
+    the same word's shorter tails.
+
+    The length-n tail starts with r copies of A (``a_lead``) or of B, then a
+    run of q_next of the other letter (0 if none); it has ``blocks`` runs in
+    all.  Entry k is d times the tail's coefficient in Y^k, Y = e^A e^B - 1.
+    Entry 1 is nonzero only on one run, or on A^r B^q_next; entry n is d.
+    Between them, entry k sums over the tail's first factor, a word of Y: a
+    power of the leading letter, or after an A-run the whole run then B^j.
+    Each term is the rest's entry k-1 over that word's factorials, divided
+    exactly.  The column depends only on the tail, so words that share a tail
+    share its columns.
+    """
+    n = len(cols)
+    if blocks == 1:
+        seed = _exact_div(d, fact[n], "single-block seed")
+    elif a_lead and blocks == 2:
+        seed = _exact_div(d, fact[r] * fact[q_next], "two-block seed")
+    else:
+        seed = 0
+    # every column spans the whole degree, so that entry k of a shorter
+    # tail reads 0 past its length
+    col = [0] * len(fact)
+    col[1] = seed
+    same = [(cols[n - j], fact[j]) for j in range(1, min(r, n - 1) + 1)]
+    boundary = []
+    if a_lead and blocks >= 2:
+        boundary = [(cols[n - r - j], fact[r] * fact[j])
+                    for j in range(1, min(q_next, n - r - 1) + 1)]
+    for k in range(1, n - 1):
+        h = 0
+        for c, f in same:
+            e = c[k]
+            if e:
+                q, rem = divmod(e, f)
+                if rem:
+                    raise IntegerExactnessError(f"same-block step: {e} not divisible by {f}")
+                h += q
+        for c, f in boundary:
+            e = c[k]
+            if e:
+                q, rem = divmod(e, f)
+                if rem:
+                    raise IntegerExactnessError(f"block-boundary step: {e} not divisible by {f}")
+                h += q
+        col[k + 1] = h
+    col[n] = d
+    return col
+
+
+def _log_coeff(col: list[int], d: int) -> Fraction:
+    """sum((-1)^(k+1) col[k] / k for k >= 1) / d: a word's coefficient in
+    log(1 + Y) from its full-length column."""
+    acc = 0
+    for k in range(1, len(col)):
+        term = _exact_div(col[k], k, "alternating-sum term")
+        acc += term if k % 2 == 1 else -term
+    return Fraction(acc, d)
+
+
 def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     """The full scaled table behind ``coeff_alg2``, for auditing.
 
@@ -134,42 +198,15 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     runs = word.runs
     m = len(runs)
     fact = [math.factorial(t) for t in range(n_total + 1)]
-    table = [[0] * (n_total + 1) for _ in range(n_total + 1)]
+    cols = [[0] * (n_total + 1)]
     # letter of the block being consumed, scanning blocks from the tail
     a_current = word.a_first if m % 2 == 1 else not word.a_first
-    tail_fact = fact[runs[-1]]
-    n = 0
     for i in range(m - 1, -1, -1):
         q_next = runs[i + 1] if i + 1 < m else 0
-        spill = a_current and i <= m - 2
         for r in range(1, runs[i] + 1):
-            n += 1
-            if i == m - 1:
-                h = _exact_div(d, fact[n], "single-block seed")
-            elif a_current and i == m - 2:
-                h = _exact_div(d, fact[r] * tail_fact, "two-block seed")
-            else:
-                h = 0
-            table[1][n] = h
-            r_fact = fact[r]
-            j_stop = min(r, n - 1)
-            spill_stop = min(q_next, n - r - 1)
-            for k in range(2, n):
-                prev = table[k - 1]
-                h = 0
-                for j in range(1, j_stop + 1):
-                    e = prev[n - j]
-                    if e:
-                        h += _exact_div(e, fact[j], "same-block step")
-                if spill:
-                    for j in range(1, spill_stop + 1):
-                        e = prev[n - r - j]
-                        if e:
-                            h += _exact_div(e, r_fact * fact[j], "block-boundary step")
-                table[k][n] = h
-            table[n][n] = d
+            cols.append(_alg2_column(cols, fact, d, a_current, r, q_next, m - i))
         a_current = not a_current
-    return table, d
+    return list(map(list, zip(*cols))), d
 
 
 def coeff_alg2(word: WordSpec, *, common_denominator: int | None = None) -> Fraction:
@@ -180,11 +217,37 @@ def coeff_alg2(word: WordSpec, *, common_denominator: int | None = None) -> Frac
     """
     table, d = alg2_table(word, common_denominator=common_denominator)
     n = word.degree
-    acc = 0
-    for k in range(1, n + 1):
-        term = _exact_div(table[k][n], k, "alternating-sum term")
-        acc += term if k % 2 == 1 else -term
-    return Fraction(acc, d)
+    return _log_coeff([row[n] for row in table], d)
+
+
+def _alg2_words(n: int, d: int) -> dict[str, Fraction]:
+    """``coeff_alg2`` of every word of degree n over the common denominator
+    d, keyed by letters.
+
+    A depth-first walk over tails, prepending one letter per edge: each
+    distinct tail's column is computed once, 2^(n+1) - 2 column steps for
+    the 2^n words against n 2^n word by word.  It touches every word of the
+    degree, so it shares the oracle's guard.
+    """
+    if not isinstance(n, int) or not 1 <= n <= SERIES_ORACLE_MAX:
+        raise ValueError(f"alg2 walk guard: 1 <= degree <= {SERIES_ORACLE_MAX}, got {n}")
+    fact = [math.factorial(t) for t in range(n + 1)]
+    cols = [[0] * (n + 1)]
+    out = {}
+
+    def walk(tail, a_lead, r, q_next, blocks):
+        cols.append(_alg2_column(cols, fact, d, a_lead, r, q_next, blocks))
+        if len(tail) == n:
+            out[tail] = _log_coeff(cols[-1], d)
+        else:
+            lead, other = ("A", "B") if a_lead else ("B", "A")
+            walk(lead + tail, a_lead, r + 1, q_next, blocks)
+            walk(other + tail, not a_lead, 1, r, blocks + 1)
+        cols.pop()
+
+    walk("A", True, 1, 0, 1)
+    walk("B", False, 1, 0, 1)
+    return out
 
 
 def _tilde_scale(runs: tuple[int, ...]) -> int:
@@ -400,13 +463,16 @@ def coeff_word(word: WordSpec, *, method: str = "goldberg") -> Fraction:
 
 @lru_cache(maxsize=None)
 def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
-    """Every coefficient of log(e^A e^B) through ``max_degree``, by brute force.
+    """Every coefficient of log(e^A e^B) through ``max_degree``, by plain expansion.
 
-    Builds Y = e^A e^B - 1 as a word -> coefficient map scaled to integers,
-    forms truncated powers Y^k by concatenation products, and sums
-    (-1)^(k+1) Y^k / k over one huge common denominator.  Keys are letter
-    strings throughout, so the result is a read-only map from every word of
-    length 1..max_degree (zeros included) to its exact rational.
+    With Y = e^A e^B - 1 and N = max_degree, Horner's rule evaluates
+    log(1 + Y) = Y (1 - Y (1/2 - Y (1/3 - ...))) from the inside out:
+    G_N = 1/N, G_k = 1/k - Y G_(k+1) and H = Y G_1, where G_k needs only the
+    words of length <= N - k and each product with Y is a concatenation.  In
+    integers, g_k = lcm(1..N) N!^(N-k) G_k obeys
+    g_k = lcm/k N!^(N-k) - (N! Y) g_(k+1), and H lcm N!^N = (N! Y) g_1.  Keys
+    are letter strings throughout, so the result is a read-only map from every
+    word of length 1..N (zeros included) to its exact rational.
     """
     if not isinstance(max_degree, int) or not 1 <= max_degree <= SERIES_ORACLE_MAX:
         raise ValueError(
@@ -422,27 +488,29 @@ def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
         for i in range(length + 1)
     ]
     ell = math.lcm(*range(1, max_degree + 1))
-    acc: dict[str, int] = {}
-    power = dict(y_items)  # Y^k scaled by nf^k
-    for k in range(1, max_degree + 1):
-        scale = (ell // k) * nf ** (max_degree - k)
-        if k % 2 == 0:
-            scale = -scale
-        for w, v in power.items():
-            acc[w] = acc.get(w, 0) + scale * v
-        if k == max_degree:
-            break
-        nxt: dict[str, int] = {}
-        for w1, v1 in power.items():
-            room = max_degree - len(w1)
-            for w2, v2 in y_items:
-                if len(w2) > room:
+
+    def times_y(g: dict[str, int], room: int) -> dict[str, int]:
+        # nf * Y * g, truncated to words of length <= room
+        out: dict[str, int] = {}
+        for w2, v2 in g.items():
+            fit = room - len(w2)
+            for w1, v1 in y_items:
+                if len(w1) > fit:
                     break
                 key = w1 + w2
-                if key in nxt:
-                    nxt[key] += v1 * v2
+                if key in out:
+                    out[key] += v1 * v2
                 else:
-                    nxt[key] = v1 * v2
-        power = nxt
+                    out[key] = v1 * v2
+        return out
+
+    # g holds (-1)^(k+1) g_k, so that each step adds nf Y g instead of
+    # subtracting it
+    g: dict[str, int] = {}
+    for k in range(max_degree, 0, -1):
+        g = times_y(g, max_degree - k)
+        const = (ell // k) * nf ** (max_degree - k)
+        g[""] = const if k % 2 else -const
+    acc = times_y(g, max_degree)
     denom = ell * nf**max_degree
     return MappingProxyType({w: Fraction(num, denom) for w, num in acc.items()})

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -15,6 +16,7 @@ from bchcoeff.goldberg import (
     METHODS,
     SERIES_ORACLE_MAX,
     WordSpec,
+    _alg2_words,
     _block_poly,
     _k_sum_weights,
     _partition_coeffs,
@@ -319,6 +321,58 @@ class TestSeriesOracle:
             series_oracle(SERIES_ORACLE_MAX + 1)
 
 
+def _power_sum_oracle(max_degree: int) -> dict[str, Fraction]:
+    # the oracle by powers: Y^k by concatenation products, then the sum of
+    # (-1)^(k+1) Y^k / k over one common denominator
+    nf = math.factorial(max_degree)
+    fact = [math.factorial(i) for i in range(max_degree + 1)]
+    y_items = [
+        ("A" * i + "B" * (length - i), nf // (fact[i] * fact[length - i]))
+        for length in range(1, max_degree + 1)
+        for i in range(length + 1)
+    ]
+    ell = math.lcm(*range(1, max_degree + 1))
+    acc: dict[str, int] = {}
+    power = dict(y_items)  # Y^k scaled by nf^k
+    for k in range(1, max_degree + 1):
+        scale = (ell // k) * nf ** (max_degree - k)
+        if k % 2 == 0:
+            scale = -scale
+        for w, v in power.items():
+            acc[w] = acc.get(w, 0) + scale * v
+        if k == max_degree:
+            break
+        nxt: dict[str, int] = {}
+        for w1, v1 in power.items():
+            room = max_degree - len(w1)
+            for w2, v2 in y_items:
+                if len(w2) > room:
+                    break
+                key = w1 + w2
+                if key in nxt:
+                    nxt[key] += v1 * v2
+                else:
+                    nxt[key] = v1 * v2
+        power = nxt
+    denom = ell * nf**max_degree
+    return {w: Fraction(num, denom) for w, num in acc.items()}
+
+
+class TestOracleReference:
+    def test_equals_power_sum(self):
+        for n in range(1, 11):
+            assert series_oracle(n) == _power_sum_oracle(n), n
+
+    def test_sampled_degree_twelve(self):
+        # log(1 + Y) = sum((-1)^(k+1) Y^k / k), each Y^k by convolution
+        oracle = series_oracle(12)
+        for letters in itertools.islice(itertools.product("AB", repeat=12), 0, None, 97):
+            word = "".join(letters)
+            expected = sum(Fraction((-1) ** (k + 1), k) * _power_coeff(word, k)
+                           for k in range(1, 13))
+            assert oracle[word] == expected, word
+
+
 def _y_coeff(chunk: str) -> Fraction:
     # coefficient of a word in Y = e^A e^B - 1: nonzero only on A^i B^j
     i = len(chunk) - len(chunk.lstrip("A"))
@@ -376,3 +430,51 @@ class TestExactnessGuard:
         word = WordSpec.from_letters("AABA")
         d = capital_denominator(4)
         assert coeff_alg2(word, common_denominator=3 * d) == coeff_alg2(word)
+
+
+@pytest.mark.parametrize("letters,step", [("BBA", "same-block step"),
+                                          ("AABA", "block-boundary step")])
+def test_step_guards_name_the_step(letters, step):
+    # d = 1 clears the seeds of these words, and the first step divides by 2!
+    with pytest.raises(IntegerExactnessError, match=f"^{step}: 1 not divisible by 2$"):
+        coeff_alg2(WordSpec.from_letters(letters), common_denominator=1)
+
+
+class TestAlg2Walk:
+    def test_every_word_once(self):
+        for n in range(1, 10):
+            d = capital_denominator(n)
+            values = _alg2_words(n, d)
+            assert sorted(values) == ["".join(w) for w in itertools.product("AB", repeat=n)]
+            for letters, c in values.items():
+                assert c == coeff_alg2(WordSpec.from_letters(letters), common_denominator=d)
+
+    def test_sampled_degree_twelve(self):
+        d = capital_denominator(12)
+        values = _alg2_words(12, d)
+        assert len(values) == 2**12
+        for letters, c in itertools.islice(sorted(values.items()), 0, None, 61):
+            assert c == coeff_alg2(WordSpec.from_letters(letters), common_denominator=d)
+
+    def test_one_column_step_per_tail(self, monkeypatch):
+        # the 2^11 - 2 tails of length 1..10; word by word it takes 10 * 2^10
+        calls = 0
+        column = goldberg._alg2_column
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return column(*args)
+
+        monkeypatch.setattr(goldberg, "_alg2_column", counting)
+        assert len(_alg2_words(10, capital_denominator(10))) == 1024
+        assert calls == 2**11 - 2
+
+    def test_wrong_scale_trips_the_guard(self):
+        with pytest.raises(IntegerExactnessError):
+            _alg2_words(3, 7)
+
+    def test_guard(self):
+        for n in (0, SERIES_ORACLE_MAX + 1):
+            with pytest.raises(ValueError, match=str(SERIES_ORACLE_MAX)):
+                _alg2_words(n, 1)
