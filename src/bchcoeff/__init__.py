@@ -10,7 +10,6 @@ The verification suites and the command line are the submodules
 """
 
 from .analysis import (
-    BRUTE_DEGREE_MAX,
     LeadingTerm,
     Lemma3Class,
     Partition,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALG2_DEGREE_MAX",
     "BERNOULLI_DEGREE_MAX",
-    "BRUTE_DEGREE_MAX",
     "COEFF_DEGREE_MAX",
     "DenominatorRecord",
     "IntegerExactnessError",

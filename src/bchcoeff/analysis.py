@@ -27,7 +27,6 @@ from .exactmath import (
 from .goldberg import WordSpec, _partition_coeffs, series_oracle
 
 __all__ = [
-    "BRUTE_DEGREE_MAX",
     "LeadingTerm",
     "Lemma3Class",
     "Partition",
@@ -40,8 +39,6 @@ __all__ = [
     "q_set",
 ]
 
-# per-degree brute force touches all 2^n words of that degree
-BRUTE_DEGREE_MAX = 14
 # q_set walks every partition of n (p(48) = 147273); at the limit the slowest
 # of p = 2, 3, 5, 7 takes about 3.1 s of CPU on one core, Python 3.11
 QSET_DEGREE_MAX = 48
@@ -134,9 +131,10 @@ def expected_a(n: int, p: int, m: int) -> int | None:
 
 
 def brute_lcm_degree(n: int) -> int:
-    """lcm of the coefficient denominators over all 2^n words of degree n."""
-    if not 1 <= n <= BRUTE_DEGREE_MAX:
-        raise ValueError(f"brute-force degree guard: 1 <= n <= {BRUTE_DEGREE_MAX}, got {n}")
+    """lcm of the coefficient denominators over all 2^n words of degree n.
+
+    The series oracle's own guard, ``SERIES_ORACLE_MAX``, bounds n.
+    """
     out = 1
     for word, coeff in series_oracle(n).items():
         if len(word) == n:

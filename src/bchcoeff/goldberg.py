@@ -7,9 +7,10 @@ rational with denominator dividing n! * d_n.
 Routes, from fastest to most naive:
 
 * ``coeff_tilde`` and ``coeff_goldberg_sum`` -- Goldberg's double sum folded
-  into a product of one polynomial per block (factorials and Stirling numbers
-  of the second kind) and a closed-form k-sum: one integer over n!, with and
-  without the tilde scale.  The default of ``coeff_word`` and ``analysis.q_set``.
+  into a product of one polynomial per block and a closed-form k-sum: one
+  integer over n!, with and without the tilde scale.  The block polynomial
+  P_q(x) = sum((-1)^j j! S(q, j) x^j) is row q of the Stirling table in
+  ``special``.  The default of ``coeff_word`` and ``analysis.q_set``.
 * ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
   table, O(n^3) big-integer work, kept as the independent cross-check.  All
   intermediate values are integers by construction; every division is checked
@@ -36,7 +37,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .denominators import capital_denominator
-from .special import _STIRLING_SHARED_MAX, _stirling_row, bernoulli
+from .special import _stirling_row, bernoulli
 
 __all__ = [
     "ALG2_DEGREE_MAX",
@@ -258,27 +259,6 @@ def _tilde_scale(runs: tuple[int, ...]) -> int:
     return -scale if sum(runs) % 2 else scale
 
 
-# block polynomials up to the Stirling triangle's last row are kept; past it
-# each one (about 1.2 MiB near q = 1100) is built again from the kept far row
-_block_polys: dict[int, tuple[int, ...]] = {}
-
-
-def _block_poly(q: int) -> tuple[int, ...]:
-    """P_q(x) = sum((-1)^j j! S(q, j) x^j for j = 1..q), lowest power first."""
-    poly = _block_polys.get(q)
-    if poly is None:
-        row = _stirling_row(q)
-        out = [0]
-        signed_fact = 1  # (-1)^j j!
-        for j in range(1, q + 1):
-            signed_fact *= -j
-            out.append(signed_fact * row[j])
-        poly = tuple(out)
-        if q <= _STIRLING_SHARED_MAX:
-            _block_polys[q] = poly
-    return poly
-
-
 def _poly_mul(a, b) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -326,7 +306,7 @@ def _goldberg_numerator(q: tuple[int, ...]) -> int:
         raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
     poly = [1]
     for qi in q:
-        poly = _poly_mul(poly, _block_poly(qi))
+        poly = _poly_mul(poly, _stirling_row(qi))
     return _k_sum_numerator(poly, len(q), n)
 
 
@@ -339,8 +319,9 @@ def coeff_tilde(runs) -> Fraction:
             (-1)^(t-k) C((m-1)//2, k) j_1! ... j_m! S(q_1,j_1) ... S(q_m,j_m) / (t-k)
 
     The signed tuple products of total t add up to the x^t coefficient of
-    the block polynomials' product P_q1(x) ... P_qm(x), and the k-sum has a
-    closed form, so the result is one integer over n!.
+    the block polynomials' product P_q1(x) ... P_qm(x), where P_q is row q of
+    ``special``'s Stirling table, and the k-sum has a closed form, so the
+    result is one integer over n!.
     """
     q = WordSpec(True, runs).runs
     return Fraction(_goldberg_numerator(q), math.factorial(sum(q)))
@@ -383,7 +364,7 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     def small_product(a, b):
         if (a, b) not in small:
             (s, f), q = (small_product(a, b - 1), 2) if b else (small_product(a - 1, 0), 3)
-            small[a, b] = _poly_mul(s, _block_poly(q)), f * fact[q]
+            small[a, b] = _poly_mul(s, _stirling_row(q)), f * fact[q]
         return small[a, b]
 
     def correlated(a, b, h):
@@ -395,7 +376,7 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
     def walk(parts, poly, remaining, scale):
         for q in range(min(remaining, parts[-1] if parts else n), 3, -1):
-            yield from walk(parts + (q,), _poly_mul(poly, _block_poly(q)),
+            yield from walk(parts + (q,), _poly_mul(poly, _stirling_row(q)),
                             remaining - q, scale * fact[q])
         for a in range(remaining // 3, -1, -1):
             for b in range((remaining - 3 * a) // 2, -1, -1):
@@ -461,7 +442,9 @@ def coeff_word(word: WordSpec, *, method: str = "goldberg") -> Fraction:
     return c if word.a_first or word.degree % 2 else -c
 
 
-@lru_cache(maxsize=None)
+# one map at a time: the degree-16 map alone peaks a process at about 66 MiB,
+# and each verify suite builds one map at its bound
+@lru_cache(maxsize=1)
 def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
     """Every coefficient of log(e^A e^B) through ``max_degree``, by plain expansion.
 
@@ -479,6 +462,8 @@ def series_oracle(max_degree: int) -> Mapping[str, Fraction]:
             f"series guard: the oracle covers 1 <= max_degree <= {SERIES_ORACLE_MAX},"
             f" got {max_degree}"
         )
+    # the cache would let go of the previous map only after this one is built
+    series_oracle.cache_clear()
     nf = math.factorial(max_degree)
     fact = [math.factorial(i) for i in range(max_degree + 1)]
     # the nonzero words of Y are A^i B^j, in order of length

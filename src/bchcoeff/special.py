@@ -1,14 +1,21 @@
 """Bernoulli numbers and Stirling numbers of the second kind, exactly.
 
 Bernoulli numbers use the convention bernoulli(1) == -1/2, pinned by the
-recurrence sum(C(n+1, k) * B_k for k in 0..n) == 0.  Stirling numbers come
-from the triangular recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1), with the
-alternating binomial sum available as an independent cross-check.
+recurrence sum(C(n+1, k) * B_k for k in 0..n) == 0.  Stirling numbers are kept
+in the signed form the product route multiplies: row q of the table holds
+a(q, j) = (-1)^j j! S(q, j) for j = 0..q, the coefficients of the block
+polynomial P_q(x), lowest power first.  The triangular recurrence
+S(q, j) = j*S(q-1, j) + S(q-1, j-1) becomes
+
+    a(q, j) = j * (a(q-1, j) - a(q-1, j-1)),  a(q, q) = -q * a(q-1, q-1),
+
+and ``stirling2`` divides (-1)^j j! back out.  The alternating binomial sum is
+available as an independent cross-check.
 
 Both families are memoized into append-only tables guarded by one lock, so
 concurrent callers never observe a partially built entry.  The Stirling
-triangle keeps rows only up to q = 300; past it one row is kept, rolled
-forward to the next q asked for.
+table keeps rows only up to q = 300; past it one row is kept, rolled
+forward to the next q asked for.  Rows are tuples, shared with every caller.
 """
 
 from __future__ import annotations
@@ -21,12 +28,12 @@ __all__ = ["bernoulli", "stirling2", "stirling2_from_sum"]
 
 _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
-_stirling_rows: list[list[int]] = [[1]]  # row q holds S(q, j) for j = 0..q
-# the triangle stops here: row q holds about q^2 log2(q) bits, so a triangle up
-# to one block at the coefficient guard (q = 1100) would pin 280 MiB for the life
-# of the process; the TABLE2 rows and every suite at its default bound stay below
+_stirling_rows: list[tuple[int, ...]] = [(1,)]  # row q holds a(q, j) for j = 0..q
+# the table stops here: row q holds about q^2 log2(q) bits, so a table up to one
+# block at the coefficient guard (q = 1100) would pin 465 MiB for the life of
+# the process; the TABLE2 rows and every suite at its default bound stay below
 _STIRLING_SHARED_MAX = 300
-_stirling_far: tuple[int, list[int]] | None = None  # (q, row) for one q past the triangle
+_stirling_far: tuple[int, tuple[int, ...]] | None = None  # (q, row) for one q past the table
 
 
 def bernoulli(n: int) -> Fraction:
@@ -49,29 +56,33 @@ def bernoulli(n: int) -> Fraction:
 def stirling2(q: int, j: int) -> int:
     """S(q, j): the number of partitions of a q-element set into j blocks.
 
-    Defined here for q, j >= 1; zero when j > q.
+    Defined here for q, j >= 1; zero when j > q.  Read off row q of the table
+    as (-1)^j a(q, j) / j!; the division must be exact and is checked.
     """
     if q < 1 or j < 1:
         raise ValueError(f"q and j must be >= 1, got q={q}, j={j}")
     if j > q:
         return 0
-    return _stirling_row(q)[j]
+    quotient, rem = divmod(_stirling_row(q)[j], math.factorial(j))
+    if rem:
+        raise ArithmeticError(f"a({q},{j}) not divisible by {j}!")
+    return -quotient if j % 2 else quotient
 
 
-def _next_stirling_row(prev: list[int]) -> list[int]:
+def _next_stirling_row(prev: tuple[int, ...]) -> tuple[int, ...]:
     q = len(prev)
     row = [0] * (q + 1)
     for j in range(1, q):
-        row[j] = j * prev[j] + prev[j - 1]
-    row[q] = 1
-    return row
+        row[j] = j * (prev[j] - prev[j - 1])
+    row[q] = -q * prev[q - 1]
+    return tuple(row)
 
 
-def _stirling_row(q: int) -> list[int]:
-    """S(q, j) for j = 0..q, as a list the caller must not modify.
+def _stirling_row(q: int) -> tuple[int, ...]:
+    """a(q, j) = (-1)^j j! S(q, j) for j = 0..q: the block polynomial P_q.
 
-    Past the triangle the kept row rolls forward when q is at or above it, and
-    restarts from the triangle's last row otherwise, so an ascending scan builds
+    Past the table the kept row rolls forward when q is at or above it, and
+    restarts from the table's last row otherwise, so an ascending scan builds
     each row once.
     """
     global _stirling_far

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from bchcoeff.analysis import (
-    BRUTE_DEGREE_MAX,
     Lemma3Class,
     Partition,
     QSET_DEGREE_MAX,
@@ -18,6 +17,7 @@ from bchcoeff.analysis import (
 )
 from bchcoeff.denominators import capital_denominator, l_exponent, partitions
 from bchcoeff.exactmath import PADIC_INFINITY, legendre_vp_factorial, vp
+from bchcoeff.goldberg import SERIES_ORACLE_MAX
 from bchcoeff.goldberg import WordSpec, bernoulli_binomial_sum, coeff_alg2, coeff_tilde
 from bchcoeff.special import bernoulli
 
@@ -127,7 +127,7 @@ class TestBruteSweeps:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            brute_lcm_degree(BRUTE_DEGREE_MAX + 1)
+            brute_lcm_degree(SERIES_ORACLE_MAX + 1)
         with pytest.raises(ValueError):
             brute_lcm_degree(0)
 

@@ -258,6 +258,13 @@ class TestLcmCommand:
     def test_guard(self, capsys):
         assert run(["lcm", "--n", "50"]) == 2
 
+    def test_guard_is_the_oracle_limit(self, capsys):
+        # one past the largest degree the series oracle builds
+        assert run(["lcm", "--n", "17"]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err.startswith("error:") and "<= 16, got 17" in err
+
 
 class TestTableCommand:
     def test_dn_matches_data_file(self, capsys, data_dir):

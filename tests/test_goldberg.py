@@ -1,6 +1,9 @@
 import inspect
 import itertools
 import math
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +20,6 @@ from bchcoeff.goldberg import (
     SERIES_ORACLE_MAX,
     WordSpec,
     _alg2_words,
-    _block_poly,
     _k_sum_weights,
     _partition_coeffs,
     alg2_table,
@@ -28,7 +30,7 @@ from bchcoeff.goldberg import (
     coeff_word,
     series_oracle,
 )
-from bchcoeff.special import stirling2_from_sum
+from bchcoeff.special import _stirling_row, stirling2_from_sum
 
 H3 = {
     "AAB": Fraction(1, 12),
@@ -202,12 +204,15 @@ class TestPartitionWalk:
                 math.factorial(t - h - 1) * math.perm(n, n - t)
                 for t in range(2 * h + 1, n + 1)]
 
-    @pytest.mark.parametrize("q", [1, 2, 7, 300, 301])
+    @pytest.mark.parametrize("q", [1, 2, 7, 300, 301, 1100])
     def test_block_poly(self, q):
-        # P_q(x) = sum((-1)^j j! S(q, j) x^j), on both sides of the cache cap
-        expected = [0] + [(-1) ** j * math.factorial(j) * stirling2_from_sum(q, j)
-                          for j in range(1, q + 1)]
-        assert list(_block_poly(q)) == expected
+        # P_q(x) = sum((-1)^j j! S(q, j) x^j) is row q of special's table, on
+        # both sides of its cap; past 301 a spread of j, as the whole row
+        # 1100 would take the alternating sums about 25 s
+        row = _stirling_row(q)
+        assert isinstance(row, tuple) and len(row) == q + 1 and row[0] == 0
+        for j in range(1, q + 1) if q <= 301 else (1, 2, 3, q // 3, q // 2, q - 1, q):
+            assert row[j] == (-1) ** j * math.factorial(j) * stirling2_from_sum(q, j), j
 
 
 class TestDegreeGuards:
@@ -319,6 +324,19 @@ class TestSeriesOracle:
             series_oracle(0)
         with pytest.raises(ValueError):
             series_oracle(SERIES_ORACLE_MAX + 1)
+
+    def test_one_map_at_a_time(self):
+        # the degree-15 map (about 12 MiB) is let go before the degree-16 map
+        # is built, so building both in turn peaks near building 16 alone
+        def peak_kib(degrees):
+            code = ("import resource\nfrom bchcoeff.goldberg import series_oracle\n"
+                    f"for n in {degrees}:\n    series_oracle(n)\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True, cwd=pathlib.Path(goldberg.__file__).parents[1])
+            return int(out.stdout)
+
+        assert peak_kib((15, 16)) < peak_kib((16,)) + 5 * 1024
 
 
 def _power_sum_oracle(max_degree: int) -> dict[str, Fraction]:

@@ -49,6 +49,8 @@ def test_import_leaves_out_verification_and_dataclasses():
 @pytest.mark.parametrize("suite_args", [
     ["--suite", "table1"],
     ["--suite", "oracle-agreement", "--max-n", "8"],
+    # stirling2 divides the table's rows by j!, a check that must survive -O
+    ["--suite", "stirling", "--max-n", "320"],
 ])
 def test_verify_under_optimize(suite_args):
     # python -O strips asserts; every check must still run and pass

@@ -1,4 +1,5 @@
-"""Property tests: the coefficient routes against each other on random words.
+"""Property tests: the coefficient routes against each other on random words,
+and the two Stirling routes on random indices.
 
 Each property draws words from a fixed, derandomized stream, so a run is
 reproducible and its cost bounded; the routes share no code beyond WordSpec.
@@ -21,6 +22,7 @@ from bchcoeff.goldberg import (  # noqa: E402
     coeff_word,
     series_oracle,
 )
+from bchcoeff.special import stirling2, stirling2_from_sum  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -84,6 +86,16 @@ def test_even_degree_odd_blocks_vanish(runs, a_first):
     word = WordSpec(a_first, runs)
     assert coeff_word(word) == 0
     assert coeff_alg2(word) == 0
+
+
+@PROFILE
+@given(st.lists(st.integers(1, 400).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q))),
+                min_size=1, max_size=6))
+def test_stirling_routes_agree(pairs):
+    # q in any order across the cap of 300: the table fills, and the one row
+    # kept past it rolls forward or restarts from the cap
+    for q, j in pairs:
+        assert stirling2(q, j) == stirling2_from_sum(q, j)
 
 
 def test_k_sum_closed_form():
