@@ -47,7 +47,6 @@ from .exactmath import (
 )
 from .goldberg import (
     ALG2_DEGREE_MAX,
-    BERNOULLI_DEGREE_MAX,
     COEFF_DEGREE_MAX,
     IntegerExactnessError,
     METHODS,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALG2_DEGREE_MAX",
-    "BERNOULLI_DEGREE_MAX",
     "COEFF_DEGREE_MAX",
     "DenominatorRecord",
     "IntegerExactnessError",

@@ -22,7 +22,6 @@ from .denominators import (
 from .exactmath import legendre_vp_factorial, vp
 from .goldberg import (
     ALG2_DEGREE_MAX,
-    BERNOULLI_DEGREE_MAX,
     COEFF_DEGREE_MAX,
     METHODS,
     SERIES_ORACLE_MAX,
@@ -42,7 +41,7 @@ DENOM_DEGREE_MAX = 1552
 _METHOD_DEGREE_MAX = {
     "alg2": ALG2_DEGREE_MAX,
     "goldberg": COEFF_DEGREE_MAX,
-    "bernoulli": BERNOULLI_DEGREE_MAX,
+    "bernoulli": COEFF_DEGREE_MAX,
     "oracle": SERIES_ORACLE_MAX,
 }
 

@@ -41,9 +41,9 @@ from .special import _stirling_row, bernoulli
 
 __all__ = [
     "ALG2_DEGREE_MAX",
-    "BERNOULLI_DEGREE_MAX",
     "COEFF_DEGREE_MAX",
     "IntegerExactnessError",
+    "METHODS",
     "SERIES_ORACLE_MAX",
     "WordSpec",
     "alg2_table",
@@ -59,10 +59,9 @@ __all__ = [
 # the oracle materializes every word of length <= N: 2^(N+1) - 2 entries
 SERIES_ORACLE_MAX = 16
 # one coefficient of the worst shape at each limit (two equal blocks; any two
-# blocks on the Bernoulli route) takes 8-10 s of CPU on one core, Python 3.11
+# blocks on the Bernoulli route) takes 10 s of CPU or less on one core, Python 3.11
 ALG2_DEGREE_MAX = 270
 COEFF_DEGREE_MAX = 1100
-BERNOULLI_DEGREE_MAX = 900
 
 METHODS = ("alg2", "goldberg", "bernoulli", "oracle")
 
@@ -396,17 +395,18 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
 def bernoulli_binomial_sum(n: int, k: int) -> Fraction:
     """sum(C(k, j) * B_(n-j) for j = 1..k), the Bernoulli part of the
-    two-block coefficient."""
+    two-block coefficient, in integers over one lcm.  The indices ascend, so
+    the Stirling row kept past the table rolls forward; odd ones >= 3 are 0."""
     if n < 2:
         raise ValueError(f"two-block words need degree >= 2, got n={n}")
-    if n > BERNOULLI_DEGREE_MAX:
-        raise ValueError(f"bernoulli degree guard: n <= {BERNOULLI_DEGREE_MAX}, got {n}")
+    if n > COEFF_DEGREE_MAX:
+        raise ValueError(f"bernoulli degree guard: n <= {COEFF_DEGREE_MAX}, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}")
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        total += math.comb(k, j) * bernoulli(n - j)
-    return total
+    terms = [(math.comb(k, n - i), bernoulli(i))
+             for i in range(n - k, n) if i < 3 or i % 2 == 0]
+    ell = math.lcm(*(b.denominator for _, b in terms))
+    return Fraction(sum(c * b.numerator * (ell // b.denominator) for c, b in terms), ell)
 
 
 def coeff_bernoulli_m2(n: int, k: int) -> Fraction:
@@ -414,9 +414,8 @@ def coeff_bernoulli_m2(n: int, k: int) -> Fraction:
 
         c(n-k, k) = (-1)^(n+k)/n! * C(n, k) * bernoulli_binomial_sum(n, k)
     """
-    total = bernoulli_binomial_sum(n, k)
-    sign = 1 if (n + k) % 2 == 0 else -1
-    return Fraction(sign * math.comb(n, k), math.factorial(n)) * total
+    c = Fraction(math.comb(n, k), math.factorial(n)) * bernoulli_binomial_sum(n, k)
+    return -c if (n + k) % 2 else c
 
 
 def coeff_word(word: WordSpec, *, method: str = "goldberg") -> Fraction:
@@ -434,8 +433,7 @@ def coeff_word(word: WordSpec, *, method: str = "goldberg") -> Fraction:
     elif method == "bernoulli":
         if len(word.runs) != 2:
             raise ValueError("the bernoulli backend needs a two-block word")
-        q1, q2 = word.runs
-        c = coeff_bernoulli_m2(q1 + q2, q2)
+        c = coeff_bernoulli_m2(word.degree, word.runs[1])
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     # both routes give the A-first word; swapping the letters costs (-1)^(n+1)

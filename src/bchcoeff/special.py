@@ -1,21 +1,21 @@
-"""Bernoulli numbers and Stirling numbers of the second kind, exactly.
+"""Stirling numbers of the second kind and Bernoulli numbers, exactly.
 
-Bernoulli numbers use the convention bernoulli(1) == -1/2, pinned by the
-recurrence sum(C(n+1, k) * B_k for k in 0..n) == 0.  Stirling numbers are kept
-in the signed form the product route multiplies: row q of the table holds
-a(q, j) = (-1)^j j! S(q, j) for j = 0..q, the coefficients of the block
-polynomial P_q(x), lowest power first.  The triangular recurrence
+Row q of the one table holds the signed Stirling numbers the product route
+multiplies, a(q, j) = (-1)^j j! S(q, j) for j = 0..q: the coefficients of the
+block polynomial P_q(x), lowest power first.  The triangular recurrence
 S(q, j) = j*S(q-1, j) + S(q-1, j-1) becomes
 
     a(q, j) = j * (a(q-1, j) - a(q-1, j-1)),  a(q, q) = -q * a(q-1, q-1),
 
-and ``stirling2`` divides (-1)^j j! back out.  The alternating binomial sum is
-available as an independent cross-check.
+and ``stirling2`` divides (-1)^j j! back out; the alternating binomial sum is
+an independent cross-check.  ``bernoulli`` reads row n by the classical
+identity B_n = sum(a(n, j) / (j + 1)), one integer sum over lcm(1..n+1); it
+gives bernoulli(1) == -1/2, the convention of sum(C(n+1, k) B_k) == 0.
 
-Both families are memoized into append-only tables guarded by one lock, so
-concurrent callers never observe a partially built entry.  The Stirling
-table keeps rows only up to q = 300; past it one row is kept, rolled
-forward to the next q asked for.  Rows are tuples, shared with every caller.
+The table is append-only and guarded by one lock, so concurrent callers never
+observe a partially built row.  It keeps rows only up to q = 300; past it one
+row is kept, rolled forward to the next q asked for.  Rows are tuples, shared
+with every caller.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = ["bernoulli", "stirling2", "stirling2_from_sum"]
 
 _lock = threading.Lock()
-_bernoulli: list[Fraction] = [Fraction(1)]
 _stirling_rows: list[tuple[int, ...]] = [(1,)]  # row q holds a(q, j) for j = 0..q
 # the table stops here: row q holds about q^2 log2(q) bits, so a table up to one
 # block at the coefficient guard (q = 1100) would pin 465 MiB for the life of
@@ -36,21 +36,18 @@ _STIRLING_SHARED_MAX = 300
 _stirling_far: tuple[int, tuple[int, ...]] | None = None  # (q, row) for one q past the table
 
 
+# one Fraction per index asked for; B_1100 is about 1 KiB
+@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number; bernoulli(1) == Fraction(-1, 2).
 
-    Odd indices >= 3 come out exactly zero from the recurrence, they are not
+    Odd indices >= 3 come out exactly zero from the sum, they are not
     special-cased.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n >= len(_bernoulli):
-        with _lock:
-            while len(_bernoulli) <= n:
-                m = len(_bernoulli)
-                acc = sum(math.comb(m + 1, k) * _bernoulli[k] for k in range(m))
-                _bernoulli.append(-acc / (m + 1))
-    return _bernoulli[n]
+    ell = math.lcm(*range(1, n + 2))
+    return Fraction(sum(a * (ell // (j + 1)) for j, a in enumerate(_stirling_row(n))), ell)
 
 
 def stirling2(q: int, j: int) -> int:

@@ -365,13 +365,18 @@ def suite_stirling(bound: int) -> list[CheckRecord]:
         parity_bad == 0, "S(q,3) == q (mod 2)", f"{parity_bad} mismatches")
     _ok(records, "stirling-three-blocks-closed-form", f"q=3..{bound}",
         closed_bad == 0, "matches (3^(q-1)-1)/2 + 1 - 2^(q-1)", f"{closed_bad} mismatches")
-    cross_bad = 0
-    for q in range(1, min(bound, 40) + 1):
-        for j in range(1, q + 1):
-            if stirling2(q, j) != stirling2_from_sum(q, j):
-                cross_bad += 1
+    cross_bad = sum(stirling2(q, j) != stirling2_from_sum(q, j)
+                    for q in range(1, min(bound, 40) + 1) for j in range(1, q + 1))
     _ok(records, "stirling-two-routes", f"q<=40",
         cross_bad == 0, "recurrence == alternating sum", f"{cross_bad} mismatches")
+    # rows past that, sampled: the bound's, then the two at the table's cap that
+    # the Bernoulli numbers read; descending, so only 301 restarts the kept row
+    far = sorted({q for q in (300, 301, bound) if 40 < q <= bound}, reverse=True)
+    far_bad = sum(stirling2(q, j) != stirling2_from_sum(q, j)
+                  for q in far for j in {1, 2, 3, q // 3, q // 2, q - 1, q})
+    if far:
+        _ok(records, "stirling-two-routes-sampled", f"q={','.join(map(str, far))}", far_bad == 0,
+            "recurrence == alternating sum at j=1,2,3,q//3,q//2,q-1,q", f"{far_bad} mismatches")
     return records
 
 
@@ -567,11 +572,11 @@ SUITES = {
     "witness": (suite_witness, 40, 180),
     "lemma-binomials": (suite_lemma_binomials, 500, 5000),
     "lemma3": (suite_lemma3, None, None),
-    # about 8 s and 40 MiB at the limit, rolling the one row kept past the table
+    # about 8-9 s and 40 MiB at the limit, rolling the one row kept past the table
     "stirling": (suite_stirling, 60, 2500),
     # B_360 would sieve to 147M; every index below it, to 3.1M or less
     "bernoulli-vsc": (suite_bernoulli_vsc, 60, 359),
-    "bernoulli-sum": (suite_bernoulli_sum, 18, 120),
+    "bernoulli-sum": (suite_bernoulli_sum, 18, 200),
     "table1": (suite_table1, None, None),
     "table2": (suite_table2, 255, None),
     "qset": (suite_qset, 33, None),

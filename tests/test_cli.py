@@ -6,7 +6,7 @@ import pytest
 from bchcoeff import verify
 from bchcoeff.analysis import QSET_DEGREE_MAX
 from bchcoeff.cli import DENOM_DEGREE_MAX, run
-from bchcoeff.goldberg import ALG2_DEGREE_MAX, BERNOULLI_DEGREE_MAX, COEFF_DEGREE_MAX
+from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX
 
 # stdout, stderr and exit status of fast commands, captured once; any byte
 # of difference is a behaviour change
@@ -80,7 +80,7 @@ class TestCoeff:
 
     def test_degree_guards(self, capsys):
         for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX),
-                              ("bernoulli", BERNOULLI_DEGREE_MAX)):
+                              ("bernoulli", COEFF_DEGREE_MAX)):
             assert run(["coeff", "--runs", f"{limit},1", "--method", method]) == 2
             out, err = lines_of(capsys)
             assert out == ""

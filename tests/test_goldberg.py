@@ -232,6 +232,9 @@ class TestDegreeGuards:
             coeff_goldberg_sum(runs)
         with pytest.raises(ValueError, match=str(COEFF_DEGREE_MAX)):
             coeff_word(WordSpec(False, runs))
+        # the two-block route shares the guard
+        with pytest.raises(ValueError, match=str(COEFF_DEGREE_MAX)):
+            coeff_word(WordSpec(True, runs), method="bernoulli")
 
     def test_the_limit_itself_is_allowed(self):
         # the cheapest shape at that degree: alternating single letters

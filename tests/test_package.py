@@ -23,6 +23,14 @@ def test_no_assert_statements():
     assert not found
 
 
+def test_root_exports_are_the_modules_exports():
+    # one export list per module; the root re-exports exactly their union
+    from bchcoeff import analysis, denominators, exactmath, goldberg, special, witness
+
+    modules = (analysis, denominators, exactmath, goldberg, special, witness)
+    assert sorted(bchcoeff.__all__) == sorted(set().union(*(m.__all__ for m in modules)))
+
+
 def test_import_starts_no_process_machinery():
     # a fresh interpreter, so nothing the test runner loaded counts
     code = ("import sys, bchcoeff; "

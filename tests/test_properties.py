@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bchcoeff.denominators import capital_denominator  # noqa: E402
 from bchcoeff.goldberg import (  # noqa: E402
+    COEFF_DEGREE_MAX,
     WordSpec,
     _k_sum_numerator,
     coeff_alg2,
@@ -62,6 +63,21 @@ def test_run_permutation_invariance(pair):
 def test_denominator_divides_capital(runs):
     c = coeff_goldberg_sum(runs)
     assert capital_denominator(sum(runs)) % c.denominator == 0
+
+
+@PROFILE
+@given(st.integers(2, 200).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))),
+       st.booleans())
+def test_bernoulli_route_equals_product_route(split, a_first):
+    k, n = split
+    word = WordSpec(a_first, (n - k, k))
+    assert coeff_word(word, method="bernoulli") == coeff_word(word)
+
+
+def test_bernoulli_route_at_the_guard():
+    # past the old Bernoulli guard of 900, up to the shared one
+    word = WordSpec(True, (COEFF_DEGREE_MAX - 2, 2))
+    assert coeff_word(word, method="bernoulli") == coeff_word(word)
 
 
 @PROFILE

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -7,7 +8,7 @@ import pytest
 
 from bchcoeff import special
 from bchcoeff.exactmath import primes_upto
-from bchcoeff.goldberg import COEFF_DEGREE_MAX, coeff_goldberg_sum
+from bchcoeff.goldberg import COEFF_DEGREE_MAX, coeff_bernoulli_m2, coeff_goldberg_sum
 from bchcoeff.special import bernoulli, stirling2, stirling2_from_sum
 
 
@@ -27,6 +28,16 @@ KNOWN_BERNOULLI = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def recurrence_bernoulli(top: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_top from sum(C(m+1, k) B_k for k = 0..m) == 0, one Fraction
+    at a time: the reference the Stirling-row sum is checked against."""
+    b = [Fraction(1)]
+    for m in range(1, top + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return tuple(b)
+
+
 class TestBernoulli:
     def test_known_values(self):
         for n, value in KNOWN_BERNOULLI.items():
@@ -44,6 +55,20 @@ class TestBernoulli:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bernoulli(-1)
+
+    def test_equals_the_recurrence_through_the_table(self):
+        top = special._STIRLING_SHARED_MAX
+        assert [bernoulli(n) for n in range(top + 1)] == list(recurrence_bernoulli(330)[:top + 1])
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_equals_the_recurrence_past_the_table(self, order):
+        # past the cap each index reads the one kept row: rolled forward in
+        # ascending order, restarted from the table in descending order
+        reference = recurrence_bernoulli(330)
+        bernoulli.cache_clear()
+        for n in (301, 302, 305, 330)[::order]:
+            assert bernoulli(n) == reference[n], n
+        assert len(special._stirling_rows) <= special._STIRLING_SHARED_MAX + 1
 
     def test_even_denominator_is_product_of_special_primes(self):
         # denominator of B_n (n even) == product of primes p with (p-1) | n
@@ -134,11 +159,18 @@ class TestStirlingMemory:
             assert coeff_goldberg_sum((q,)) == 0
         assert len(special._stirling_rows) == self.CAP + 1
 
+    def test_bernoulli_route_stops_at_the_cap(self):
+        # a two-block word at the coefficient guard reads B_1098 off row 1098
+        assert coeff_bernoulli_m2(COEFF_DEGREE_MAX, 2) != 0
+        assert len(special._stirling_rows) <= self.CAP + 1
+
 
 class TestThreadSafety:
     def test_concurrent_fill(self):
         errors = []
         values = []
+        # every thread then asks for an index nobody has computed yet
+        bernoulli.cache_clear()
 
         def worker(i):
             try:
