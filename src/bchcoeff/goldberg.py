@@ -8,9 +8,18 @@ Routes, from fastest to most naive:
 
 * ``coeff_tilde`` and ``coeff_goldberg_sum`` -- Goldberg's double sum folded
   into a product of one polynomial per block and a closed-form k-sum: one
-  integer over n!, with and without the tilde scale.  The block polynomial
-  P_q(x) = sum((-1)^j j! S(q, j) x^j) is row q of the Stirling table in
-  ``special``.  The default of ``coeff_word`` and ``analysis.q_set``.
+  integer over n!, with and without the tilde scale.  With z = -x/(1-x) the
+  block polynomial P_q(x) = sum((-1)^j j! S(q, j) x^j) is z A_q(z)/(1-z)^q,
+  where the Eulerian polynomial A_q is row q of the table in ``special``, so
+  the m blocks of a degree-n word multiply to z^m E(z)/(1-z)^n with
+  E = A_q1 ... A_qm palindromic of degree n-m, and the k-sum becomes a Beta
+  integral over the coefficients e_s of E:
+
+      n! tilde = (-1)^(h+m) sum((-1)^s e_s (m-h-1+s)! (n-m+h-s)!),
+
+  h = (m-1)//2.  Each product needs only its lower half, the upper half is a
+  mirror, and a part 1 costs nothing, as A_1 = 1.  The default of
+  ``coeff_word`` and ``analysis.q_set``.
 * ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
   table, O(n^3) big-integer work, kept as the independent cross-check.  All
   intermediate values are integers by construction; every division is checked
@@ -58,8 +67,9 @@ __all__ = [
 
 # the oracle materializes every word of length <= N: 2^(N+1) - 2 entries
 SERIES_ORACLE_MAX = 16
-# one coefficient of the worst shape at each limit (two equal blocks; any two
-# blocks on the Bernoulli route) takes 10 s of CPU or less on one core, Python 3.11
+# one coefficient of the worst shape at each limit takes 10 s of CPU or less on
+# one core, Python 3.11: two equal blocks, about 7.5 s through alg2 at 270 and
+# 4 s on the product route at 1100; any two blocks on the Bernoulli route, 0.8 s
 ALG2_DEGREE_MAX = 270
 COEFF_DEGREE_MAX = 1100
 
@@ -259,54 +269,56 @@ def _tilde_scale(runs: tuple[int, ...]) -> int:
 
 
 def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    """The product of two palindromic polynomials, such as Eulerian rows: the
+    lower half by convolution, the upper half its mirror.  Eulerian numbers
+    are positive, so no term is skipped."""
+    deg = len(a) + len(b) - 2
+    half = deg // 2
+    out = [0] * (half + 1)
+    for i, x in enumerate(a[:half + 1]):
+        for j, y in enumerate(b[:half + 1 - i], i):
+            out[j] += x * y
+    return out + out[:deg - half][::-1]
 
 
-def _k_sum_weights(n: int, h: int) -> tuple[int, list[int]]:
-    """(-1)^h h! and the weights W[t] = (t-h-1)! n!/t! of the k-sum at
-    h = (m-1)//2.
+def _k_sum_weights(n: int, m: int) -> list[int]:
+    """The weights W[s] = (-1)^(h+m+s) (m-h-1+s)! (n-m+h-s)!, s = 0..n-m, of
+    the k-sum of m blocks at degree n, h = (m-1)//2.
 
-    Over each total t >= m the k-sum has the closed form
-    sum((-1)^k C(h, k) / (t-k) for k = 0..h) = (-1)^h h! (t-h-1)! / t!, and
-    n!/t! is an integer, so n! times it is (-1)^h h! W[t].  W is indexed by
-    t and is 0 below t = 2h+1, the fewest blocks with this h.
+    Over each total t the k-sum is sum((-1)^k C(h, k) / (t-k) for k = 0..h),
+    the Beta integral (-1)^h int_0^1 u^(t-h-1) (1-u)^h du.  Under
+    z = -u/(1-u) the block polynomials multiply to z^m E(z) / (1-z)^n, so the
+    integral splits over the coefficients e_s of E, and n! times the tilde
+    form is sum(e_s W[s]).  Built by running products, with no division.
     """
-    first = 2 * h + 1
-    weights = [0] * (n + 1)
-    falling = 1  # n!/t!, from t = n down
-    for t in range(n, first - 1, -1):
-        weights[t] = falling
-        falling *= t
-    h_fact = math.factorial(h)
-    rising = h_fact  # (t-h-1)!, from t = 2h+1 up
-    for t in range(first, n + 1):
-        weights[t] *= rising
-        rising *= t - h
-    return -h_fact if h % 2 else h_fact, weights
-
-
-def _k_sum_numerator(poly, m: int, n: int) -> int:
-    """n! times the tilde coefficient whose m blocks multiply to ``poly``,
-    a list of n+1 coefficients that vanish below x^m."""
-    scale, weights = _k_sum_weights(n, (m - 1) // 2)
-    return scale * sum(map(operator.mul, poly, weights))
+    h = (m - 1) // 2
+    top = n - m
+    weights = [0] * (top + 1)
+    falling = math.factorial(h)  # (n-m+h-s)!, from s = n-m down
+    for s in range(top, -1, -1):
+        weights[s] = falling
+        falling *= top + h - s + 1
+    rising = math.factorial(m - h - 1)  # (m-h-1+s)!, from s = 0 up
+    for s in range(top + 1):
+        weights[s] *= -rising if (h + m + s) % 2 else rising
+        rising *= m - h + s
+    return weights
 
 
 def _goldberg_numerator(q: tuple[int, ...]) -> int:
-    """n! times the tilde form of the A-first word with validated runs ``q``."""
+    """n! times the tilde form of the A-first word with validated runs ``q``.
+
+    The Eulerian rows of the blocks multiply to E; A_1 = 1, so a part 1 adds
+    a block to the k-sum and nothing to the product.
+    """
     n = sum(q)
     if n > COEFF_DEGREE_MAX:
         raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
     poly = [1]
     for qi in q:
-        poly = _poly_mul(poly, _stirling_row(qi))
-    return _k_sum_numerator(poly, len(q), n)
+        if qi > 1:
+            poly = _poly_mul(poly, _stirling_row(qi))
+    return sum(map(operator.mul, poly, _k_sum_weights(n, len(q))))
 
 
 def coeff_tilde(runs) -> Fraction:
@@ -318,9 +330,10 @@ def coeff_tilde(runs) -> Fraction:
             (-1)^(t-k) C((m-1)//2, k) j_1! ... j_m! S(q_1,j_1) ... S(q_m,j_m) / (t-k)
 
     The signed tuple products of total t add up to the x^t coefficient of
-    the block polynomials' product P_q1(x) ... P_qm(x), where P_q is row q of
-    ``special``'s Stirling table, and the k-sum has a closed form, so the
-    result is one integer over n!.
+    the block polynomials' product P_q1(x) ... P_qm(x).  In the Eulerian
+    basis of ``special``'s table that product is z^m E(z)/(1-z)^n, and the
+    k-sum is a Beta integral over the coefficients of E, so the result is
+    one integer over n!.
     """
     q = WordSpec(True, runs).runs
     return Fraction(_goldberg_numerator(q), math.factorial(sum(q)))
@@ -341,24 +354,25 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     word with those runs.
 
     A depth-first walk over the parts q >= 4: partitions sharing a prefix
-    share its polynomial product, so each tree edge costs one multiplication
-    by a block polynomial, and the edge's q! goes into the tilde scale carried
-    down with it.  After its children, each node with prefix B and R left
-    ends its own leaves B + 3^a 2^b 1^r, for 3a + 2b + r = R, with a and then
-    b descending.  As P_1(x) = -x, the small parts multiply to (-x)^r S(x)
-    with S = P_3^a P_2^b, so the k-sum of the leaf is
+    share its product of Eulerian rows, so each tree edge costs one
+    multiplication, and the edge's q! goes into the tilde scale carried down
+    with it.  After its children, each node with prefix B and R left ends its
+    own leaves B + 3^a 2^b 1^r, for 3a + 2b + r = R, with a and then b
+    descending.  As A_1 = 1, the small parts multiply to S = A_3^a A_2^b,
+    with A_3 = 1 + 4z + z^2 and A_2 = 1 + z, so the k-sum of the leaf is
 
-        (-1)^r * sum(poly_B[i] * V[i + r]),  V[i] = sum(S[j] * W[i + j]),
+        sum(poly_B[i] * V[i]),  V[i] = sum(S[j] * W[i + j]),
 
-    with the weights W of its h = (m-1)//2.  V depends only on (a, b, h), so
-    the walk builds each S and each V once, and multiplies only by the
-    blocks q >= 4 along the tree.
+    with the weights W of its m blocks.  V depends only on (a, b, m), so the
+    walk builds each S and each V once, and multiplies only by the blocks
+    q >= 4 along the tree.  poly_B is palindromic, so V is kept folded onto
+    the lower half, V[i] + V[top-i], and each leaf reads only that half.
     """
     fact = [math.factorial(q) for q in range(n + 1)]
     signed_fact_n = -fact[n] if n % 2 else fact[n]
-    weights = {}  # h -> (h_scale, W)
-    small = {(0, 0): ([1], 1)}  # (a, b) -> (P_3^a P_2^b, 6^a 2^b)
-    corr = {}  # (a, b, h) -> (h_scale, V)
+    weights = {}  # m -> W
+    small = {(0, 0): ([1], 1)}  # (a, b) -> (A_3^a A_2^b, 6^a 2^b)
+    corr = {}  # (a, b, m) -> V
 
     def small_product(a, b):
         if (a, b) not in small:
@@ -366,12 +380,13 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
             small[a, b] = _poly_mul(s, _stirling_row(q)), f * fact[q]
         return small[a, b]
 
-    def correlated(a, b, h):
-        if h not in weights:
-            weights[h] = _k_sum_weights(n, h)
-        h_scale, w = weights[h]
-        s = small_product(a, b)[0]
-        return h_scale, [sum(map(operator.mul, s, w[i:])) for i in range(n + 2 - len(s))]
+    def correlated(a, b, m):
+        if m not in weights:
+            weights[m] = _k_sum_weights(n, m)
+        s, w = small_product(a, b)[0], weights[m]
+        v = [sum(map(operator.mul, s, w[i:])) for i in range(len(w) + 1 - len(s))]
+        top = len(v) - 1
+        return [v[i] + v[top - i] if 2 * i < top else v[i] for i in range(top // 2 + 1)]
 
     def walk(parts, poly, remaining, scale):
         for q in range(min(remaining, parts[-1] if parts else n), 3, -1):
@@ -380,15 +395,12 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         for a in range(remaining // 3, -1, -1):
             for b in range((remaining - 3 * a) // 2, -1, -1):
                 r = remaining - 3 * a - 2 * b
-                key = a, b, (len(parts) + a + b + r - 1) // 2
+                key = a, b, len(parts) + a + b + r
                 if key not in corr:
                     corr[key] = correlated(*key)
-                h_scale, v = corr[key]
-                acc = sum(map(operator.mul, poly, v[r:]))
-                if r % 2:
-                    acc = -acc
                 yield (parts + (3,) * a + (2,) * b + (1,) * r,
-                       Fraction(h_scale * acc, signed_fact_n * scale * small[a, b][1]))
+                       Fraction(sum(map(operator.mul, poly, corr[key])),
+                                signed_fact_n * scale * small[a, b][1]))
 
     yield from walk((), [1], n, 1)
 
@@ -396,7 +408,7 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 def bernoulli_binomial_sum(n: int, k: int) -> Fraction:
     """sum(C(k, j) * B_(n-j) for j = 1..k), the Bernoulli part of the
     two-block coefficient, in integers over one lcm.  The indices ascend, so
-    the Stirling row kept past the table rolls forward; odd ones >= 3 are 0."""
+    the table row kept past the cap rolls forward; odd ones >= 3 are 0."""
     if n < 2:
         raise ValueError(f"two-block words need degree >= 2, got n={n}")
     if n > COEFF_DEGREE_MAX:

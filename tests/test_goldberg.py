@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import operator
 import pathlib
 import subprocess
 import sys
@@ -20,8 +21,10 @@ from bchcoeff.goldberg import (
     SERIES_ORACLE_MAX,
     WordSpec,
     _alg2_words,
+    _goldberg_numerator,
     _k_sum_weights,
     _partition_coeffs,
+    _poly_mul,
     alg2_table,
     coeff_alg2,
     coeff_bernoulli_m2,
@@ -30,7 +33,8 @@ from bchcoeff.goldberg import (
     coeff_word,
     series_oracle,
 )
-from bchcoeff.special import _stirling_row, stirling2_from_sum
+from bchcoeff.refdata import TABLE2
+from bchcoeff.special import _stirling_row
 
 H3 = {
     "AAB": Fraction(1, 12),
@@ -42,6 +46,66 @@ H3 = {
     "AAA": Fraction(0),
     "BBB": Fraction(0),
 }
+
+
+@lru_cache(maxsize=None)
+def stirling_basis_row(q: int) -> tuple[int, ...]:
+    """P_q(x) = sum((-1)^j j! S(q, j) x^j), j = 0..q, by the recurrence
+    a(q, j) = j (a(q-1, j) - a(q-1, j-1)), a(q, q) = -q a(q-1, q-1): the block
+    polynomial of the Stirling basis, which the Eulerian rows replaced."""
+    row = (1,)
+    for k in range(1, q + 1):
+        row = (0, *(j * (row[j] - row[j - 1]) for j in range(1, k)), -k * row[k - 1])
+    return row
+
+
+def stirling_poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def stirling_k_sum_weights(n: int, h: int) -> tuple[int, list[int]]:
+    """(-1)^h h! and W[t] = (t-h-1)! n!/t!: n! times the closed form
+    sum((-1)^k C(h, k) / (t-k) for k = 0..h) = (-1)^h h! (t-h-1)! / t! is
+    (-1)^h h! W[t], for t >= 2h+1."""
+    first = 2 * h + 1
+    weights = [0] * (n + 1)
+    falling = 1  # n!/t!, from t = n down
+    for t in range(n, first - 1, -1):
+        weights[t] = falling
+        falling *= t
+    h_fact = math.factorial(h)
+    rising = h_fact  # (t-h-1)!, from t = 2h+1 up
+    for t in range(first, n + 1):
+        weights[t] *= rising
+        rising *= t - h
+    return -h_fact if h % 2 else h_fact, weights
+
+
+def stirling_basis_numerator(runs) -> int:
+    """n! times the tilde form by the Stirling-basis product and its k-sum
+    weights: the product route before the Eulerian basis, the reference the
+    new numerator is checked against."""
+    poly = [1]
+    for q in runs:
+        poly = stirling_poly_mul(poly, stirling_basis_row(q))
+    scale, weights = stirling_k_sum_weights(sum(runs), (len(runs) - 1) // 2)
+    return scale * sum(x * w for x, w in zip(poly, weights))
+
+
+def to_stirling_basis(e, m: int, n: int) -> list[int]:
+    """z^m E(z) / (1-z)^n in powers of x, z = -x/(1-x), for E of degree <= n-m:
+    each z^(m+s) / (1-z)^n is (-1)^(m+s) x^(m+s) (1-x)^(n-m-s)."""
+    out = [0] * (n + 1)
+    for s, c in enumerate(e):
+        for i in range(n - m - s + 1):
+            out[m + s + i] += (-1) ** (m + s + i) * math.comb(n - m - s, i) * c
+    return out
 
 
 class TestWordSpec:
@@ -184,35 +248,63 @@ class TestPartitionWalk:
         assert next(walk) == ((20,), 0)
 
     def test_k_sum_weights(self):
-        # n! * sum((-1)^k C(h, k) / (t-k) for k = 0..h) == scale * W[t]
+        # W[s] = (-1)^(h+m+s) (m-h-1+s)! (n-m+h-s)!, one per coefficient of E
         for n in range(1, 31):
-            for h in range((n - 1) // 2 + 1):
-                scale, weights = _k_sum_weights(n, h)
-                assert len(weights) == n + 1 and not any(weights[:2 * h + 1])
-                for t in range(2 * h + 1, n + 1):
-                    direct = sum(Fraction((-1) ** k * math.comb(h, k), t - k)
-                                 for k in range(h + 1))
-                    assert Fraction(scale * weights[t], math.factorial(n)) == direct
+            for m in range(1, n + 1):
+                h = (m - 1) // 2
+                assert _k_sum_weights(n, m) == [
+                    (-1) ** (h + m + s) * math.factorial(m - h - 1 + s) * math.factorial(n - m + h - s)
+                    for s in range(n - m + 1)], (n, m)
 
     @pytest.mark.parametrize("n", [140, 255])
     def test_k_sum_weights_large(self, n):
-        # the running products against W[t] = (t-h-1)! n!/t! term by term
-        for h in (0, 1, n // 4, (n - 1) // 2):
-            scale, weights = _k_sum_weights(n, h)
-            assert scale == (-1) ** h * math.factorial(h)
-            assert weights == [0] * (2 * h + 1) + [
-                math.factorial(t - h - 1) * math.perm(n, n - t)
-                for t in range(2 * h + 1, n + 1)]
+        # the running products against the weights the Stirling basis applies
+        # to z^s, each coefficient converted to powers of x
+        for m in (1, 2, 3, n // 4, n // 2, n - 1, n):
+            weights = _k_sum_weights(n, m)
+            scale, reference = stirling_k_sum_weights(n, (m - 1) // 2)
+            for s in sorted({0, min(1, n - m), (n - m) // 2, n - m}):
+                unit = [0] * s + [1]
+                x_poly = to_stirling_basis(unit, m, n)
+                assert weights[s] == scale * sum(map(operator.mul, x_poly, reference)), (m, s)
 
     @pytest.mark.parametrize("q", [1, 2, 7, 300, 301, 1100])
     def test_block_poly(self, q):
-        # P_q(x) = sum((-1)^j j! S(q, j) x^j) is row q of special's table, on
-        # both sides of its cap; past 301 a spread of j, as the whole row
-        # 1100 would take the alternating sums about 25 s
+        # row q of special's table is the Eulerian polynomial A_q, on both
+        # sides of its cap: palindromic, summing to q!, and equal to the
+        # closed form sum((-1)^i C(q+1, i) (k+1-i)^q for i <= k); past 301 a
+        # spread of k
         row = _stirling_row(q)
-        assert isinstance(row, tuple) and len(row) == q + 1 and row[0] == 0
-        for j in range(1, q + 1) if q <= 301 else (1, 2, 3, q // 3, q // 2, q - 1, q):
-            assert row[j] == (-1) ** j * math.factorial(j) * stirling2_from_sum(q, j), j
+        assert isinstance(row, tuple) and len(row) == q
+        assert row == row[::-1] and sum(row) == math.factorial(q)
+        for k in range((q + 1) // 2) if q <= 301 else (0, 1, 2, q // 3, q // 2 - 1, q // 2):
+            assert row[k] == sum((-1) ** i * math.comb(q + 1, i) * (k + 1 - i) ** q
+                                 for i in range(k + 1)), k
+
+    def test_block_poly_is_the_stirling_block(self):
+        # P_q(x) = z A_q(z) / (1-z)^q with z = -x/(1-x)
+        for q in range(1, 41):
+            assert to_stirling_basis(_stirling_row(q), 1, q) == list(stirling_basis_row(q)), q
+
+    def test_poly_mul_is_the_full_product(self):
+        # the lower half and its mirror, against the full convolution
+        for qs in ((2, 3), (3, 3), (4, 7), (7, 4), (5, 2, 9), (10, 11, 12), (1, 6)):
+            poly = [1]
+            for q in qs:
+                poly = _poly_mul(poly, _stirling_row(q))
+            full = [1]
+            for q in qs:
+                full = stirling_poly_mul(full, _stirling_row(q))
+            assert poly == full, qs
+
+    def test_numerator_equals_stirling_basis_on_every_partition(self):
+        for n in range(1, 25):
+            for parts in partitions(n):
+                assert _goldberg_numerator(parts) == stirling_basis_numerator(parts), parts
+
+    @pytest.mark.parametrize("row", TABLE2, ids=lambda row: f"n={row.n}")
+    def test_numerator_equals_stirling_basis_on_table2(self, row):
+        assert _goldberg_numerator(row.runs) == stirling_basis_numerator(row.runs)
 
 
 class TestDegreeGuards:

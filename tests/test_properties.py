@@ -1,11 +1,15 @@
 """Property tests: the coefficient routes against each other on random words,
-and the two Stirling routes on random indices.
+the product route against its Stirling-basis reference, the partition walk's
+leaves against the product route, and the two Stirling routes on random
+indices.
 
 Each property draws words from a fixed, derandomized stream, so a run is
 reproducible and its cost bounded; the routes share no code beyond WordSpec.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,17 +17,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bchcoeff.denominators import capital_denominator  # noqa: E402
+from bchcoeff.denominators import capital_denominator, partitions  # noqa: E402
 from bchcoeff.goldberg import (  # noqa: E402
     COEFF_DEGREE_MAX,
     WordSpec,
-    _k_sum_numerator,
+    _goldberg_numerator,
+    _k_sum_weights,
+    _partition_coeffs,
     coeff_alg2,
     coeff_goldberg_sum,
     coeff_word,
     series_oracle,
 )
 from bchcoeff.special import stirling2, stirling2_from_sum  # noqa: E402
+from test_goldberg import stirling_basis_numerator, to_stirling_basis  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -49,6 +56,23 @@ def test_product_route_equals_alg2(runs, a_first):
 def test_product_route_equals_series_oracle(runs, a_first):
     word = WordSpec(a_first, runs)
     assert coeff_word(word) == series_oracle(word.degree)[word.letters()]
+
+
+@PROFILE
+@given(run_lists(120))
+def test_product_route_equals_stirling_basis(runs):
+    assert _goldberg_numerator(runs) == stirling_basis_numerator(runs)
+
+
+# each example walks the partitions of n up to its leaf, p(36) = 17,977 at most
+@settings(PROFILE, max_examples=50)
+@given(st.integers(1, 36).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, sum(1 for _ in partitions(n)) - 1))))
+def test_walk_leaf_equals_product_route(leaf):
+    n, index = leaf
+    parts, c = next(itertools.islice(_partition_coeffs(n), index, None))
+    assert sum(parts) == n
+    assert c == coeff_goldberg_sum(parts)
 
 
 @PROFILE
@@ -115,10 +139,14 @@ def test_stirling_routes_agree(pairs):
 
 
 def test_k_sum_closed_form():
-    # the k-sum at one total t, against the alternating binomial sum it replaces
-    for h in range(13):
-        for m in (2 * h + 1, 2 * h + 2):
-            for t in range(m, 81):
-                unit = [0] * t + [1]
-                direct = sum(Fraction((-1) ** k * math.comb(h, k), t - k) for k in range(h + 1))
-                assert Fraction(_k_sum_numerator(unit, m, t), math.factorial(t)) == direct
+    # the Beta weight of each z^s against the alternating binomial k-sum it
+    # replaces, applied to z^(m+s) / (1-z)^n in powers of x
+    for n in range(1, 31):
+        k_sums = [[sum(Fraction((-1) ** k * math.comb(h, k), t - k) for k in range(h + 1))
+                   if t > h else 0 for t in range(n + 1)] for h in range((n + 1) // 2)]
+        for m in range(1, n + 1):
+            weights = _k_sum_weights(n, m)
+            for s in range(n - m + 1):
+                x_poly = to_stirling_basis([0] * s + [1], m, n)
+                direct = sum(map(operator.mul, x_poly, k_sums[(m - 1) // 2]))
+                assert Fraction(weights[s], math.factorial(n)) == direct, (n, m, s)

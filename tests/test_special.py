@@ -31,7 +31,7 @@ KNOWN_BERNOULLI = {
 @functools.lru_cache(maxsize=None)
 def recurrence_bernoulli(top: int) -> tuple[Fraction, ...]:
     """B_0 .. B_top from sum(C(m+1, k) B_k for k = 0..m) == 0, one Fraction
-    at a time: the reference the Stirling-row sum is checked against."""
+    at a time: the reference the Eulerian-row sum is checked against."""
     b = [Fraction(1)]
     for m in range(1, top + 1):
         b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
@@ -62,8 +62,9 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
     def test_equals_the_recurrence_past_the_table(self, order):
-        # past the cap each index reads the one kept row: rolled forward in
-        # ascending order, restarted from the table in descending order
+        # B_n reads row n - 1: B_301 the table's last row, the others the one
+        # kept past it, rolled forward in ascending order, restarted from the
+        # table in descending order
         reference = recurrence_bernoulli(330)
         bernoulli.cache_clear()
         for n in (301, 302, 305, 330)[::order]:
@@ -152,7 +153,7 @@ class TestStirlingMemory:
 
     def test_block_polys_stop_at_the_cap(self):
         # the product route multiplies the table's rows; each one near the
-        # guard holds about 1.3 MiB, and only the far row is kept past the cap
+        # guard holds about 1.2 MiB, and only the far row is kept past the cap
         assert special._STIRLING_SHARED_MAX == self.CAP
         assert coeff_goldberg_sum((self.CAP, 1)) != 0
         for q in range(1000, 1101, 4):
