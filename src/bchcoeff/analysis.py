@@ -17,14 +17,13 @@ from fractions import Fraction
 from .denominators import l_exponent
 from .exactmath import (
     PADIC_INFINITY,
-    _vp_int,
     digit_sum,
     legendre_vp_factorial,
     mod_inverse,
     require_prime,
     vp,
 )
-from .goldberg import WordSpec, _partition_coeffs, series_oracle
+from .goldberg import WordSpec, _partition_walk, series_oracle
 
 __all__ = [
     "LeadingTerm",
@@ -39,8 +38,8 @@ __all__ = [
     "q_set",
 ]
 
-# q_set walks every partition of n (p(48) = 147273); at the limit the slowest
-# of p = 2, 3, 5, 7 takes about 3.1 s of CPU on one core, Python 3.11
+# q_set walks every partition of n (p(48) = 147273); at the limit each of
+# p = 2, 3, 5, 7 takes about 0.8-1.4 s of CPU on one core, Python 3.11
 QSET_DEGREE_MAX = 48
 
 
@@ -169,15 +168,29 @@ def q_set(n: int, p: int) -> tuple[Partition, ...]:
     denominator valuation v_p(n!) + l(n, p).
 
     Exhaustive over all partitions of n, in reverse-lexicographic order: the
-    walk shares each prefix's polynomial product down the partition tree.
+    walk shares each prefix's polynomial product down the partition tree and
+    yields each leaf's coefficient as num / (+-n! q_1! ... q_m!), unreduced.
+    That denominator's valuation v is a sum of Legendre values, so with
+    e = v - target a leaf attains the target exactly when p^e divides num and
+    p^(e+1) does not; when the target is 0 (n < p), p^e dividing num is
+    enough.  No coefficient is reduced, and only the hits become partitions.
     """
     require_prime(p)
     if not 1 <= n <= QSET_DEGREE_MAX:
         raise ValueError(f"exhaustive-search guard: 1 <= n <= {QSET_DEGREE_MAX}, got {n}")
     target = legendre_vp_factorial(n, p) + l_exponent(n, p)
-    # p is checked above; a zero coefficient has denominator 1
-    return tuple(Partition(parts) for parts, c in _partition_coeffs(n)
-                 if _vp_int(c.denominator, p) == target)
+    vf = [legendre_vp_factorial(q, p) for q in range(max(n, 3) + 1)]
+    # e never exceeds the valuation of n! * n!
+    powers = [p**e for e in range(2 * vf[n] + 2)]
+    found = []
+    for prefix, tails in _partition_walk(n):
+        base = vf[n] + sum(vf[q] for q in prefix) - target
+        for a, b, r, num in tails:
+            e = base + a * vf[3] + b * vf[2]
+            # a zero coefficient has num 0 and denominator 1: a hit only at target 0
+            if e >= 0 and not num % powers[e] and (not target or num % powers[e + 1]):
+                found.append(Partition(prefix + (3,) * a + (2,) * b + (1,) * r))
+    return tuple(found)
 
 
 class Lemma3Class(Enum):

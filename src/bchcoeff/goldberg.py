@@ -19,7 +19,10 @@ Routes, from fastest to most naive:
 
   h = (m-1)//2.  Each product needs only its lower half, the upper half is a
   mirror, and a part 1 costs nothing, as A_1 = 1.  The default of
-  ``coeff_word`` and ``analysis.q_set``.
+  ``coeff_word``.  ``_partition_walk`` runs the same product down the
+  partition tree of one degree for ``analysis.q_set`` and yields each
+  partition's numerator over n! q_1! ... q_m! unreduced, so that no
+  ``Fraction`` is built per partition.
 * ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
   table, O(n^3) big-integer work, kept as the independent cross-check.  All
   intermediate values are integers by construction; every division is checked
@@ -348,18 +351,21 @@ def coeff_goldberg_sum(runs) -> Fraction:
     return Fraction(_goldberg_numerator(q), math.factorial(sum(q)) * _tilde_scale(q))
 
 
-def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (parts, c) for every descending partition of n, in
-    reverse-lexicographic order, where c is the coefficient of the A-first
-    word with those runs.
+def _partition_walk(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int, int]]]]:
+    """Yield (prefix, tails) for every node of the partition tree of n, so
+    that the leaves prefix + 3^a 2^b 1^r, read in yield order, are the
+    descending partitions of n in reverse-lexicographic order.
+
+    ``prefix`` holds the parts >= 4; each tail (a, b, r, num) ends it with
+    3a + 2b + r = n - sum(prefix), a and then b descending, and num is
+    ``_goldberg_numerator`` of the leaf: the coefficient of its A-first word
+    is num / ((-1)^n n! q_1! ... q_m!), never reduced here.
 
     A depth-first walk over the parts q >= 4: partitions sharing a prefix
     share its product of Eulerian rows, so each tree edge costs one
-    multiplication, and the edge's q! goes into the tilde scale carried down
-    with it.  After its children, each node with prefix B and R left ends its
-    own leaves B + 3^a 2^b 1^r, for 3a + 2b + r = R, with a and then b
-    descending.  As A_1 = 1, the small parts multiply to S = A_3^a A_2^b,
-    with A_3 = 1 + 4z + z^2 and A_2 = 1 + z, so the k-sum of the leaf is
+    multiplication.  A node is yielded after its children.  As A_1 = 1, the
+    small parts multiply to S = A_3^a A_2^b, with A_3 = 1 + 4z + z^2 and
+    A_2 = 1 + z, so the k-sum of the leaf is
 
         sum(poly_B[i] * V[i]),  V[i] = sum(S[j] * W[i + j]),
 
@@ -368,41 +374,38 @@ def _partition_coeffs(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     q >= 4 along the tree.  poly_B is palindromic, so V is kept folded onto
     the lower half, V[i] + V[top-i], and each leaf reads only that half.
     """
-    fact = [math.factorial(q) for q in range(n + 1)]
-    signed_fact_n = -fact[n] if n % 2 else fact[n]
     weights = {}  # m -> W
-    small = {(0, 0): ([1], 1)}  # (a, b) -> (A_3^a A_2^b, 6^a 2^b)
+    small = {(0, 0): [1]}  # (a, b) -> A_3^a A_2^b
     corr = {}  # (a, b, m) -> V
 
     def small_product(a, b):
         if (a, b) not in small:
-            (s, f), q = (small_product(a, b - 1), 2) if b else (small_product(a - 1, 0), 3)
-            small[a, b] = _poly_mul(s, _stirling_row(q)), f * fact[q]
+            s, q = (small_product(a, b - 1), 2) if b else (small_product(a - 1, 0), 3)
+            small[a, b] = _poly_mul(s, _stirling_row(q))
         return small[a, b]
 
     def correlated(a, b, m):
         if m not in weights:
             weights[m] = _k_sum_weights(n, m)
-        s, w = small_product(a, b)[0], weights[m]
+        s, w = small_product(a, b), weights[m]
         v = [sum(map(operator.mul, s, w[i:])) for i in range(len(w) + 1 - len(s))]
         top = len(v) - 1
         return [v[i] + v[top - i] if 2 * i < top else v[i] for i in range(top // 2 + 1)]
 
-    def walk(parts, poly, remaining, scale):
+    def walk(parts, poly, remaining):
         for q in range(min(remaining, parts[-1] if parts else n), 3, -1):
-            yield from walk(parts + (q,), _poly_mul(poly, _stirling_row(q)),
-                            remaining - q, scale * fact[q])
+            yield from walk(parts + (q,), _poly_mul(poly, _stirling_row(q)), remaining - q)
+        tails = []
         for a in range(remaining // 3, -1, -1):
             for b in range((remaining - 3 * a) // 2, -1, -1):
                 r = remaining - 3 * a - 2 * b
                 key = a, b, len(parts) + a + b + r
                 if key not in corr:
                     corr[key] = correlated(*key)
-                yield (parts + (3,) * a + (2,) * b + (1,) * r,
-                       Fraction(sum(map(operator.mul, poly, corr[key])),
-                                signed_fact_n * scale * small[a, b][1]))
+                tails.append((a, b, r, sum(map(operator.mul, poly, corr[key]))))
+        yield parts, tails
 
-    yield from walk((), [1], n, 1)
+    yield from walk((), [1], n)
 
 
 def bernoulli_binomial_sum(n: int, k: int) -> Fraction:

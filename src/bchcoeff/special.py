@@ -116,7 +116,7 @@ def _stirling_row(q: int) -> tuple[int, ...]:
 def stirling2_from_sum(q: int, j: int) -> int:
     """S(q, j) from the alternating sum (1/j!) * sum((-1)^(j-i) C(j,i) i^q).
 
-    Independent of the recurrence route; the division by j! must be exact and
+    Independent of Worpitzky's route; the division by j! must be exact and
     is checked.
     """
     if q < 1 or j < 1:

@@ -368,7 +368,7 @@ def suite_stirling(bound: int) -> list[CheckRecord]:
     cross_bad = sum(stirling2(q, j) != stirling2_from_sum(q, j)
                     for q in range(1, min(bound, 40) + 1) for j in range(1, q + 1))
     _ok(records, "stirling-two-routes", f"q<=40",
-        cross_bad == 0, "recurrence == alternating sum", f"{cross_bad} mismatches")
+        cross_bad == 0, "Worpitzky's sum == alternating sum", f"{cross_bad} mismatches")
     # rows past that, sampled: the bound's, then the two at the table's cap that
     # the Bernoulli numbers read; descending, so only 301 restarts the kept row
     far = sorted({q for q in (300, 301, bound) if 40 < q <= bound}, reverse=True)
@@ -376,7 +376,7 @@ def suite_stirling(bound: int) -> list[CheckRecord]:
                   for q in far for j in {1, 2, 3, q // 3, q // 2, q - 1, q})
     if far:
         _ok(records, "stirling-two-routes-sampled", f"q={','.join(map(str, far))}", far_bad == 0,
-            "recurrence == alternating sum at j=1,2,3,q//3,q//2,q-1,q", f"{far_bad} mismatches")
+            "Worpitzky's sum == alternating sum at j=1,2,3,q//3,q//2,q-1,q", f"{far_bad} mismatches")
     return records
 
 

@@ -23,7 +23,7 @@ from bchcoeff.goldberg import (
     _alg2_words,
     _goldberg_numerator,
     _k_sum_weights,
-    _partition_coeffs,
+    _partition_walk,
     _poly_mul,
     alg2_table,
     coeff_alg2,
@@ -213,20 +213,26 @@ class TestGoldbergRoute:
             coeff_goldberg_sum((2, 0))
 
 
+def walk_leaves(n):
+    """The walk's leaves, flattened lazily: (parts, num) in yield order."""
+    return ((prefix + (3,) * a + (2,) * b + (1,) * r, num)
+            for prefix, tails in _partition_walk(n) for a, b, r, num in tails)
+
+
 class TestPartitionWalk:
     def test_walk_equals_per_partition_route(self):
         # every leaf shape occurs: (n,), (1,)*n, and folded tails 3^a 2^b 1^r
-        # of every length
+        # of every length; the integers are compared unreduced
         for n in range(1, 25):
-            expected = [(parts, coeff_goldberg_sum(parts)) for parts in partitions(n)]
-            assert list(_partition_coeffs(n)) == expected, n
+            expected = [(parts, _goldberg_numerator(parts)) for parts in partitions(n)]
+            assert list(walk_leaves(n)) == expected, n
 
     @pytest.mark.parametrize("n", [30, 36])
     def test_walk_sampled(self, n):
-        leaves = list(_partition_coeffs(n))
+        leaves = list(walk_leaves(n))
         assert [parts for parts, _ in leaves] == list(partitions(n))
-        for parts, c in leaves[::37]:
-            assert c == coeff_goldberg_sum(parts), parts
+        for parts, num in leaves[::37]:
+            assert num == _goldberg_numerator(parts), parts
 
     def test_walk_multiplies_only_the_big_parts(self, monkeypatch):
         # one multiply per tree edge with a part >= 4, and one per product
@@ -240,12 +246,12 @@ class TestPartitionWalk:
             return poly_mul(a, b)
 
         monkeypatch.setattr(goldberg, "_poly_mul", counting)
-        assert len(list(_partition_coeffs(27))) == 3010
+        assert sum(1 for _ in walk_leaves(27)) == 3010
         assert calls <= 600
 
     def test_walk_is_lazy(self):
-        walk = _partition_coeffs(20)
-        assert next(walk) == ((20,), 0)
+        walk = _partition_walk(20)
+        assert next(walk) == ((20,), [(0, 0, 0, 0)])
 
     def test_k_sum_weights(self):
         # W[s] = (-1)^(h+m+s) (m-h-1+s)! (n-m+h-s)!, one per coefficient of E

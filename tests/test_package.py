@@ -59,6 +59,8 @@ def test_import_leaves_out_verification_and_dataclasses():
     ["--suite", "oracle-agreement", "--max-n", "8"],
     # stirling2 divides the table's rows by j!, a check that must survive -O
     ["--suite", "stirling", "--max-n", "320"],
+    # q_set tells its hits by residues of the walk's integers, with no assert
+    ["--suite", "qset", "--max-n", "21"],
 ])
 def test_verify_under_optimize(suite_args):
     # python -O strips asserts; every check must still run and pass

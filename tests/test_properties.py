@@ -1,7 +1,7 @@
 """Property tests: the coefficient routes against each other on random words,
 the product route against its Stirling-basis reference, the partition walk's
-leaves against the product route, and the two Stirling routes on random
-indices.
+leaves against the product route, ``q_set`` against the valuation of every
+partition's coefficient, and the two Stirling routes on random indices.
 
 Each property draws words from a fixed, derandomized stream, so a run is
 reproducible and its cost bounded; the routes share no code beyond WordSpec.
@@ -17,20 +17,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bchcoeff.denominators import capital_denominator, partitions  # noqa: E402
+from bchcoeff.analysis import q_set  # noqa: E402
+from bchcoeff.denominators import capital_denominator, l_exponent, partitions  # noqa: E402
+from bchcoeff.exactmath import legendre_vp_factorial, primes_upto, vp  # noqa: E402
 from bchcoeff.goldberg import (  # noqa: E402
     COEFF_DEGREE_MAX,
     WordSpec,
     _goldberg_numerator,
     _k_sum_weights,
-    _partition_coeffs,
     coeff_alg2,
     coeff_goldberg_sum,
     coeff_word,
     series_oracle,
 )
 from bchcoeff.special import stirling2, stirling2_from_sum  # noqa: E402
-from test_goldberg import stirling_basis_numerator, to_stirling_basis  # noqa: E402
+from test_goldberg import stirling_basis_numerator, to_stirling_basis, walk_leaves  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -70,9 +71,20 @@ def test_product_route_equals_stirling_basis(runs):
     lambda n: st.tuples(st.just(n), st.integers(0, sum(1 for _ in partitions(n)) - 1))))
 def test_walk_leaf_equals_product_route(leaf):
     n, index = leaf
-    parts, c = next(itertools.islice(_partition_coeffs(n), index, None))
+    parts, num = next(itertools.islice(walk_leaves(n), index, None))
     assert sum(parts) == n
-    assert c == coeff_goldberg_sum(parts)
+    assert num == _goldberg_numerator(parts)
+
+
+# each example reduces the coefficient of every partition of n, p(24) = 1,575
+# at most; primes past n give the target 0, where every partition attains it
+@settings(PROFILE, max_examples=40)
+@given(st.integers(1, 24), st.sampled_from(primes_upto(29)))
+def test_q_set_equals_valuation_filter(n, p):
+    target = legendre_vp_factorial(n, p) + l_exponent(n, p)
+    expected = tuple(parts for parts in partitions(n)
+                     if vp(coeff_goldberg_sum(parts).denominator, p) == target)
+    assert tuple(part.parts for part in q_set(n, p)) == expected
 
 
 @PROFILE
