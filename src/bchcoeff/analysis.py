@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # q_set walks every partition of n (p(48) = 147273); at the limit each of
-# p = 2, 3, 5, 7 takes about 0.8-1.4 s of CPU on one core, Python 3.11
+# p = 2, 3, 5, 7 takes about 0.8-0.9 s of CPU on one core, Python 3.11
 QSET_DEGREE_MAX = 48
 
 

@@ -10,18 +10,20 @@ Routes, from fastest to most naive:
   into a product of one polynomial per block and a closed-form k-sum: one
   integer over n!, with and without the tilde scale.  With z = -x/(1-x) the
   block polynomial P_q(x) = sum((-1)^j j! S(q, j) x^j) is z A_q(z)/(1-z)^q,
-  where the Eulerian polynomial A_q is row q of the table in ``special``, so
-  the m blocks of a degree-n word multiply to z^m E(z)/(1-z)^n with
-  E = A_q1 ... A_qm palindromic of degree n-m, and the k-sum becomes a Beta
-  integral over the coefficients e_s of E:
+  where A_q is the Eulerian polynomial.  A_q is gamma-positive,
+  A_q(z) = sum(g_k z^k (1+z)^(q-1-2k)), and row q of the table in
+  ``special`` holds its gamma vector g.  So the m blocks of a degree-n word
+  multiply to z^m E(z)/(1-z)^n with E = sum(g_j z^j (1+z)^(D-2j)), D = n-m,
+  where g is the plain convolution of the blocks' gamma vectors, and the
+  k-sum becomes a symmetric Beta integral over g:
 
-      n! tilde = (-1)^(h+m) sum((-1)^s e_s (m-h-1+s)! (n-m+h-s)!),
+      n! tilde = sum(g_j G_j),  j = 0..D//2,
 
-  h = (m-1)//2.  Each product needs only its lower half, the upper half is a
-  mirror, and a part 1 costs nothing, as A_1 = 1.  The default of
-  ``coeff_word``.  ``_partition_walk`` runs the same product down the
-  partition tree of one degree for ``analysis.q_set`` and yields each
-  partition's numerator over n! q_1! ... q_m! unreduced, so that no
+  with the weights G of ``_k_sum_weights``.  The parts 1 and 2 cost nothing,
+  as g_1 = g_2 = (1,), and one block past degree 1 is 0 without a product.
+  The default of ``coeff_word``.  ``_partition_walk`` runs the same product
+  down the partition tree of one degree for ``analysis.q_set`` and yields
+  each partition's numerator over n! q_1! ... q_m! unreduced, so that no
   ``Fraction`` is built per partition.
 * ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
   table, O(n^3) big-integer work, kept as the independent cross-check.  All
@@ -71,8 +73,8 @@ __all__ = [
 # the oracle materializes every word of length <= N: 2^(N+1) - 2 entries
 SERIES_ORACLE_MAX = 16
 # one coefficient of the worst shape at each limit takes 10 s of CPU or less on
-# one core, Python 3.11: two equal blocks, about 7.5 s through alg2 at 270 and
-# 4 s on the product route at 1100; any two blocks on the Bernoulli route, 0.8 s
+# one core, Python 3.11: two equal blocks, about 7 s through alg2 at 270 and
+# 2 s on the product route at 1100; any two blocks on the Bernoulli route, 0.6 s
 ALG2_DEGREE_MAX = 270
 COEFF_DEGREE_MAX = 1100
 
@@ -272,54 +274,67 @@ def _tilde_scale(runs: tuple[int, ...]) -> int:
 
 
 def _poly_mul(a, b) -> list[int]:
-    """The product of two palindromic polynomials, such as Eulerian rows: the
-    lower half by convolution, the upper half its mirror.  Eulerian numbers
-    are positive, so no term is skipped."""
-    deg = len(a) + len(b) - 2
-    half = deg // 2
-    out = [0] * (half + 1)
-    for i, x in enumerate(a[:half + 1]):
-        for j, y in enumerate(b[:half + 1 - i], i):
+    """The product of two polynomials, such as gamma vectors: a plain
+    convolution.  gamma vectors are positive, so no term is skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
             out[j] += x * y
-    return out + out[:deg - half][::-1]
+    return out
 
 
 def _k_sum_weights(n: int, m: int) -> list[int]:
-    """The weights W[s] = (-1)^(h+m+s) (m-h-1+s)! (n-m+h-s)!, s = 0..n-m, of
-    the k-sum of m blocks at degree n, h = (m-1)//2.
+    """The gamma weights G[j], j = 0..(n-m)//2, of the k-sum of m blocks at
+    degree n: n! times the tilde form is sum(g_j G[j]) over the gamma vector
+    g of the blocks' product.
 
     Over each total t the k-sum is sum((-1)^k C(h, k) / (t-k) for k = 0..h),
-    the Beta integral (-1)^h int_0^1 u^(t-h-1) (1-u)^h du.  Under
-    z = -u/(1-u) the block polynomials multiply to z^m E(z) / (1-z)^n, so the
-    integral splits over the coefficients e_s of E, and n! times the tilde
-    form is sum(e_s W[s]).  Built by running products, with no division.
+    h = (m-1)//2, the Beta integral (-1)^h int_0^1 x^(t-h-1) (1-x)^h dx.
+    Under z = -x/(1-x) the blocks multiply to z^m E(z) / (1-z)^n, with
+    E = sum(g_j z^j (1+z)^(D-2j)), D = n-m, and the term of g_j becomes
+    (-1)^j x^(m-h-1+j) (1-x)^(h+j) (1-2x)^(D-2j): with v = 1-2x a symmetric
+    Beta integral, zero when m and D are both odd, and otherwise
+
+        G[j] = (-1)^(h+m+j) (h+j)! (n//2)! F(r),
+
+    with F(r) = (2r)!/r! and r = D/2-j when D is even, and
+    F(r) = -(2r-1)!/(r-1)! and r = (D+1)/2-j when D is odd.  Built by running
+    products, with no division.
     """
     h = (m - 1) // 2
-    top = n - m
+    d = n - m
+    top = d // 2
+    if m % 2 and d % 2:
+        return [0] * (top + 1)
     weights = [0] * (top + 1)
-    falling = math.factorial(h)  # (n-m+h-s)!, from s = n-m down
-    for s in range(top, -1, -1):
-        weights[s] = falling
-        falling *= top + h - s + 1
-    rising = math.factorial(m - h - 1)  # (m-h-1+s)!, from s = 0 up
-    for s in range(top + 1):
-        weights[s] *= -rising if (h + m + s) % 2 else rising
-        rising *= m - h + s
+    ratio, r = 1, d % 2  # F(r) up to sign, from j = top (r = 0 or 1) down
+    for j in range(top, -1, -1):
+        weights[j] = ratio
+        ratio *= 2 * (2 * r + 1)
+        r += 1
+    rising = math.factorial(h) * math.factorial(n // 2)  # (h+j)! (n//2)!, from j = 0 up
+    flip = h + m + d % 2  # F(r) carries a minus sign when D is odd
+    for j in range(top + 1):
+        weights[j] *= -rising if (flip + j) % 2 else rising
+        rising *= h + j + 1
     return weights
 
 
 def _goldberg_numerator(q: tuple[int, ...]) -> int:
     """n! times the tilde form of the A-first word with validated runs ``q``.
 
-    The Eulerian rows of the blocks multiply to E; A_1 = 1, so a part 1 adds
-    a block to the k-sum and nothing to the product.
+    The gamma vectors of the blocks multiply by convolution; as
+    gamma_1 = gamma_2 = (1,), the parts 1 and 2 add a block to the k-sum and
+    nothing to the product.  One block past degree 1 is 0, as log(e^A) = A.
     """
     n = sum(q)
     if n > COEFF_DEGREE_MAX:
         raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
+    if len(q) == 1 and n > 1:
+        return 0
     poly = [1]
     for qi in q:
-        if qi > 1:
+        if qi > 2:
             poly = _poly_mul(poly, _stirling_row(qi))
     return sum(map(operator.mul, poly, _k_sum_weights(n, len(q))))
 
@@ -333,10 +348,10 @@ def coeff_tilde(runs) -> Fraction:
             (-1)^(t-k) C((m-1)//2, k) j_1! ... j_m! S(q_1,j_1) ... S(q_m,j_m) / (t-k)
 
     The signed tuple products of total t add up to the x^t coefficient of
-    the block polynomials' product P_q1(x) ... P_qm(x).  In the Eulerian
-    basis of ``special``'s table that product is z^m E(z)/(1-z)^n, and the
-    k-sum is a Beta integral over the coefficients of E, so the result is
-    one integer over n!.
+    the block polynomials' product P_q1(x) ... P_qm(x).  In the gamma basis
+    of ``special``'s table that product is z^m E(z)/(1-z)^n, and the k-sum
+    is a Beta integral over the gamma vector of E, so the result is one
+    integer over n!.
     """
     q = WordSpec(True, runs).runs
     return Fraction(_goldberg_numerator(q), math.factorial(sum(q)))
@@ -362,35 +377,28 @@ def _partition_walk(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, i
     is num / ((-1)^n n! q_1! ... q_m!), never reduced here.
 
     A depth-first walk over the parts q >= 4: partitions sharing a prefix
-    share its product of Eulerian rows, so each tree edge costs one
-    multiplication.  A node is yielded after its children.  As A_1 = 1, the
-    small parts multiply to S = A_3^a A_2^b, with A_3 = 1 + 4z + z^2 and
-    A_2 = 1 + z, so the k-sum of the leaf is
+    share its product of gamma vectors, so each tree edge costs one
+    multiplication.  A node is yielded after its children.  As
+    gamma_1 = gamma_2 = (1,), the small parts multiply to S = gamma_3^a, with
+    gamma_3 = (1, 2), so the k-sum of the leaf is
 
-        sum(poly_B[i] * V[i]),  V[i] = sum(S[j] * W[i + j]),
+        sum(poly_B[i] * V[i]),  V[i] = sum(S[j] * G[i + j]),
 
-    with the weights W of its m blocks.  V depends only on (a, b, m), so the
-    walk builds each S and each V once, and multiplies only by the blocks
-    q >= 4 along the tree.  poly_B is palindromic, so V is kept folded onto
-    the lower half, V[i] + V[top-i], and each leaf reads only that half.
+    with the weights G of its m blocks.  V depends only on (a, m), so the
+    walk builds each power of gamma_3 and each V once, and multiplies only by
+    the blocks q >= 4 along the tree.
     """
-    weights = {}  # m -> W
-    small = {(0, 0): [1]}  # (a, b) -> A_3^a A_2^b
-    corr = {}  # (a, b, m) -> V
+    weights = {}  # m -> G
+    powers = [[1]]  # a -> gamma_3^a
+    corr = {}  # (a, m) -> V
 
-    def small_product(a, b):
-        if (a, b) not in small:
-            s, q = (small_product(a, b - 1), 2) if b else (small_product(a - 1, 0), 3)
-            small[a, b] = _poly_mul(s, _stirling_row(q))
-        return small[a, b]
-
-    def correlated(a, b, m):
+    def correlated(a, m):
+        while len(powers) <= a:
+            powers.append(_poly_mul(powers[-1], _stirling_row(3)))
         if m not in weights:
             weights[m] = _k_sum_weights(n, m)
-        s, w = small_product(a, b), weights[m]
-        v = [sum(map(operator.mul, s, w[i:])) for i in range(len(w) + 1 - len(s))]
-        top = len(v) - 1
-        return [v[i] + v[top - i] if 2 * i < top else v[i] for i in range(top // 2 + 1)]
+        s, w = powers[a], weights[m]
+        return [sum(map(operator.mul, s, w[i:])) for i in range(len(w) + 1 - len(s))]
 
     def walk(parts, poly, remaining):
         for q in range(min(remaining, parts[-1] if parts else n), 3, -1):
@@ -399,7 +407,7 @@ def _partition_walk(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, i
         for a in range(remaining // 3, -1, -1):
             for b in range((remaining - 3 * a) // 2, -1, -1):
                 r = remaining - 3 * a - 2 * b
-                key = a, b, len(parts) + a + b + r
+                key = a, len(parts) + a + b + r
                 if key not in corr:
                     corr[key] = correlated(*key)
                 tails.append((a, b, r, sum(map(operator.mul, poly, corr[key]))))

@@ -34,7 +34,7 @@ from bchcoeff.goldberg import (
     series_oracle,
 )
 from bchcoeff.refdata import TABLE2
-from bchcoeff.special import _stirling_row
+from bchcoeff.special import _eulerian_row, _stirling_row
 
 H3 = {
     "AAB": Fraction(1, 12),
@@ -106,6 +106,60 @@ def to_stirling_basis(e, m: int, n: int) -> list[int]:
         for i in range(n - m - s + 1):
             out[m + s + i] += (-1) ** (m + s + i) * math.comb(n - m - s, i) * c
     return out
+
+
+def eulerian_half_mul(a, b) -> list[int]:
+    """The product of two palindromic polynomials: the lower half by
+    convolution, the upper half its mirror.  The Eulerian basis's kernel,
+    which the gamma basis replaced."""
+    deg = len(a) + len(b) - 2
+    half = deg // 2
+    out = [0] * (half + 1)
+    for i, x in enumerate(a[:half + 1]):
+        for j, y in enumerate(b[:half + 1 - i], i):
+            out[j] += x * y
+    return out + out[:deg - half][::-1]
+
+
+def eulerian_k_sum_weights(n: int, m: int) -> list[int]:
+    """W[s] = (-1)^(h+m+s) (m-h-1+s)! (n-m+h-s)!, s = 0..n-m, h = (m-1)//2:
+    n! times the tilde form is sum(e_s W[s]) over the coefficients e_s of the
+    product E of the blocks' Eulerian polynomials."""
+    h = (m - 1) // 2
+    top = n - m
+    weights = [0] * (top + 1)
+    falling = math.factorial(h)  # (n-m+h-s)!, from s = n-m down
+    for s in range(top, -1, -1):
+        weights[s] = falling
+        falling *= top + h - s + 1
+    rising = math.factorial(m - h - 1)  # (m-h-1+s)!, from s = 0 up
+    for s in range(top + 1):
+        weights[s] *= -rising if (h + m + s) % 2 else rising
+        rising *= m - h + s
+    return weights
+
+
+def eulerian_numerator(runs) -> int:
+    """n! times the tilde form by the Eulerian rows' half products and their
+    weights: the product route before the gamma basis, the reference the new
+    numerator is checked against."""
+    poly = [1]
+    for q in runs:
+        if q > 1:
+            poly = eulerian_half_mul(poly, _eulerian_row(q))
+    return sum(map(operator.mul, poly, eulerian_k_sum_weights(sum(runs), len(runs))))
+
+
+def gamma_to_eulerian(g, d: int) -> list[int]:
+    """sum(g_k z^k (1+z)^(d-2k)) in powers of z, by Horner's rule in
+    (1+z)^2 and then d - 2(len(g)-1) factors 1+z."""
+    acc = [g[0]]
+    for k in range(1, len(g)):
+        acc = [x + 2 * y + w for x, y, w in zip(acc + [0, 0], [0, *acc, 0], [0, 0, *acc])]
+        acc[k] += g[k]
+    for _ in range(d - 2 * (len(g) - 1)):
+        acc = [x + y for x, y in zip(acc + [0], [0, *acc])]
+    return acc
 
 
 class TestWordSpec:
@@ -235,8 +289,8 @@ class TestPartitionWalk:
             assert num == _goldberg_numerator(parts), parts
 
     def test_walk_multiplies_only_the_big_parts(self, monkeypatch):
-        # one multiply per tree edge with a part >= 4, and one per product
-        # P_3^a P_2^b; a walk with one multiply per edge makes 3009 at n = 27
+        # one multiply per tree edge with a part >= 4 (478 at n = 27), and one
+        # per power of gamma_3 (9); a walk with one multiply per edge makes 3009
         calls = 0
         poly_mul = goldberg._poly_mul
 
@@ -247,6 +301,7 @@ class TestPartitionWalk:
 
         monkeypatch.setattr(goldberg, "_poly_mul", counting)
         assert sum(1 for _ in walk_leaves(27)) == 3010
+        assert calls == 487
         assert calls <= 600
 
     def test_walk_is_lazy(self):
@@ -254,54 +309,76 @@ class TestPartitionWalk:
         assert next(walk) == ((20,), [(0, 0, 0, 0)])
 
     def test_k_sum_weights(self):
-        # W[s] = (-1)^(h+m+s) (m-h-1+s)! (n-m+h-s)!, one per coefficient of E
+        # G[j] weighs z^j (1+z)^(D-2j) of E, so it is the binomial transform
+        # of the Eulerian weights W[s] of the z^s; W against its closed form
         for n in range(1, 31):
             for m in range(1, n + 1):
-                h = (m - 1) // 2
+                h, d = (m - 1) // 2, n - m
+                eulerian = eulerian_k_sum_weights(n, m)
+                assert eulerian == [
+                    (-1) ** (h + m + s) * math.factorial(m - h - 1 + s) * math.factorial(d + h - s)
+                    for s in range(d + 1)], (n, m)
                 assert _k_sum_weights(n, m) == [
-                    (-1) ** (h + m + s) * math.factorial(m - h - 1 + s) * math.factorial(n - m + h - s)
-                    for s in range(n - m + 1)], (n, m)
+                    sum(math.comb(d - 2 * j, s - j) * eulerian[s] for s in range(j, d - j + 1))
+                    for j in range(d // 2 + 1)], (n, m)
 
     @pytest.mark.parametrize("n", [140, 255])
     def test_k_sum_weights_large(self, n):
         # the running products against the weights the Stirling basis applies
-        # to z^s, each coefficient converted to powers of x
+        # to z^j (1+z)^(n-m-2j), each converted to powers of x
         for m in (1, 2, 3, n // 4, n // 2, n - 1, n):
             weights = _k_sum_weights(n, m)
             scale, reference = stirling_k_sum_weights(n, (m - 1) // 2)
-            for s in sorted({0, min(1, n - m), (n - m) // 2, n - m}):
-                unit = [0] * s + [1]
+            top = (n - m) // 2
+            for j in sorted({0, min(1, top), top // 2, top}):
+                unit = gamma_to_eulerian([0] * j + [1], n - m)
                 x_poly = to_stirling_basis(unit, m, n)
-                assert weights[s] == scale * sum(map(operator.mul, x_poly, reference)), (m, s)
+                assert weights[j] == scale * sum(map(operator.mul, x_poly, reference)), (m, j)
 
     @pytest.mark.parametrize("q", [1, 2, 7, 300, 301, 1100])
     def test_block_poly(self, q):
-        # row q of special's table is the Eulerian polynomial A_q, on both
+        # the Eulerian polynomial A_q from special's second table, on both
         # sides of its cap: palindromic, summing to q!, and equal to the
         # closed form sum((-1)^i C(q+1, i) (k+1-i)^q for i <= k); past 301 a
         # spread of k
-        row = _stirling_row(q)
+        row = _eulerian_row(q)
         assert isinstance(row, tuple) and len(row) == q
         assert row == row[::-1] and sum(row) == math.factorial(q)
         for k in range((q + 1) // 2) if q <= 301 else (0, 1, 2, q // 3, q // 2 - 1, q // 2):
             assert row[k] == sum((-1) ** i * math.comb(q + 1, i) * (k + 1 - i) ** q
                                  for i in range(k + 1)), k
 
+    def test_gamma_rows_expand_to_the_eulerian_rows(self):
+        # A_q(z) = sum(gamma(q, k) z^k (1+z)^(q-1-2k)) on both sides of the cap
+        for q in range(1, 302):
+            row = _stirling_row(q)
+            assert isinstance(row, tuple) and len(row) == (q + 1) // 2, q
+            assert gamma_to_eulerian(row, q - 1) == list(_eulerian_row(q)), q
+
+    def test_gamma_row_at_the_guard(self):
+        # A_q(1) = q!, and z = 1 gives each gamma(q, k) the weight 2^(q-1-2k)
+        q = COEFF_DEGREE_MAX
+        row = _stirling_row(q)
+        assert len(row) == (q + 1) // 2
+        assert sum(g << (q - 1 - 2 * k) for k, g in enumerate(row)) == math.factorial(q)
+
     def test_block_poly_is_the_stirling_block(self):
-        # P_q(x) = z A_q(z) / (1-z)^q with z = -x/(1-x)
+        # P_q(x) = z A_q(z) / (1-z)^q with z = -x/(1-x), from both tables
         for q in range(1, 41):
-            assert to_stirling_basis(_stirling_row(q), 1, q) == list(stirling_basis_row(q)), q
+            block = list(stirling_basis_row(q))
+            assert to_stirling_basis(_eulerian_row(q), 1, q) == block, q
+            assert to_stirling_basis(gamma_to_eulerian(_stirling_row(q), q - 1), 1, q) == block, q
 
     def test_poly_mul_is_the_full_product(self):
-        # the lower half and its mirror, against the full convolution
+        # gamma vectors convolve to the gamma vector of the product of the
+        # Eulerian rows, which the old half product and its mirror also give
         for qs in ((2, 3), (3, 3), (4, 7), (7, 4), (5, 2, 9), (10, 11, 12), (1, 6)):
-            poly = [1]
+            poly, half, full = [1], [1], [1]
             for q in qs:
                 poly = _poly_mul(poly, _stirling_row(q))
-            full = [1]
-            for q in qs:
-                full = stirling_poly_mul(full, _stirling_row(q))
-            assert poly == full, qs
+                half = eulerian_half_mul(half, _eulerian_row(q))
+                full = stirling_poly_mul(full, _eulerian_row(q))
+            assert gamma_to_eulerian(poly, sum(qs) - len(qs)) == half == full, qs
 
     def test_numerator_equals_stirling_basis_on_every_partition(self):
         for n in range(1, 25):
@@ -311,6 +388,23 @@ class TestPartitionWalk:
     @pytest.mark.parametrize("row", TABLE2, ids=lambda row: f"n={row.n}")
     def test_numerator_equals_stirling_basis_on_table2(self, row):
         assert _goldberg_numerator(row.runs) == stirling_basis_numerator(row.runs)
+
+    def test_numerator_equals_eulerian_basis_on_every_partition(self):
+        for n in range(1, 25):
+            for parts in partitions(n):
+                assert _goldberg_numerator(parts) == eulerian_numerator(parts), parts
+
+    @pytest.mark.parametrize("row", TABLE2, ids=lambda row: f"n={row.n}")
+    def test_numerator_equals_eulerian_basis_on_table2(self, row):
+        assert _goldberg_numerator(row.runs) == eulerian_numerator(row.runs)
+
+    def test_single_block_reads_no_row(self, monkeypatch):
+        # log(e^A) = A: one block past degree 1 is 0 before any product
+        monkeypatch.setattr(goldberg, "_stirling_row", None)
+        assert coeff_goldberg_sum((1,)) == 1
+        for q in (2, 3, 301, COEFF_DEGREE_MAX):
+            assert _goldberg_numerator((q,)) == 0
+            assert coeff_goldberg_sum((q,)) == 0
 
 
 class TestDegreeGuards:

@@ -61,6 +61,10 @@ def test_import_leaves_out_verification_and_dataclasses():
     ["--suite", "stirling", "--max-n", "320"],
     # q_set tells its hits by residues of the walk's integers, with no assert
     ["--suite", "qset", "--max-n", "21"],
+    # the Bernoulli numbers read the gamma rows' middle terms, and the
+    # two-block suite runs the product route's gamma weights
+    ["--suite", "bernoulli-vsc"],
+    ["--suite", "two-block", "--max-n", "12"],
 ])
 def test_verify_under_optimize(suite_args):
     # python -O strips asserts; every check must still run and pass

@@ -1,5 +1,6 @@
 """Property tests: the coefficient routes against each other on random words,
-the product route against its Stirling-basis reference, the partition walk's
+the product route against its Stirling-basis and Eulerian-basis references,
+the partition walk's
 leaves against the product route, ``q_set`` against the valuation of every
 partition's coefficient, and the two Stirling routes on random indices.
 
@@ -31,7 +32,13 @@ from bchcoeff.goldberg import (  # noqa: E402
     series_oracle,
 )
 from bchcoeff.special import stirling2, stirling2_from_sum  # noqa: E402
-from test_goldberg import stirling_basis_numerator, to_stirling_basis, walk_leaves  # noqa: E402
+from test_goldberg import (  # noqa: E402
+    eulerian_numerator,
+    gamma_to_eulerian,
+    stirling_basis_numerator,
+    to_stirling_basis,
+    walk_leaves,
+)
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -63,6 +70,15 @@ def test_product_route_equals_series_oracle(runs, a_first):
 @given(run_lists(120))
 def test_product_route_equals_stirling_basis(runs):
     assert _goldberg_numerator(runs) == stirling_basis_numerator(runs)
+
+
+# a block past the table's cap of 300 in about half the examples, so the
+# kept rows of both tables roll forward and restart
+@settings(PROFILE, max_examples=40)
+@given(run_lists(300), st.one_of(st.just(()), st.tuples(st.integers(301, 360))))
+def test_product_route_equals_eulerian_basis(runs, far):
+    runs = far + runs
+    assert _goldberg_numerator(runs) == eulerian_numerator(runs)
 
 
 # each example walks the partitions of n up to its leaf, p(36) = 17,977 at most
@@ -151,14 +167,15 @@ def test_stirling_routes_agree(pairs):
 
 
 def test_k_sum_closed_form():
-    # the Beta weight of each z^s against the alternating binomial k-sum it
-    # replaces, applied to z^(m+s) / (1-z)^n in powers of x
+    # the Beta weight of each z^j (1+z)^(n-m-2j) against the alternating
+    # binomial k-sum it replaces, applied to z^m times it over (1-z)^n in
+    # powers of x
     for n in range(1, 31):
         k_sums = [[sum(Fraction((-1) ** k * math.comb(h, k), t - k) for k in range(h + 1))
                    if t > h else 0 for t in range(n + 1)] for h in range((n + 1) // 2)]
         for m in range(1, n + 1):
             weights = _k_sum_weights(n, m)
-            for s in range(n - m + 1):
-                x_poly = to_stirling_basis([0] * s + [1], m, n)
+            for j in range(len(weights)):
+                x_poly = to_stirling_basis(gamma_to_eulerian([0] * j + [1], n - m), m, n)
                 direct = sum(map(operator.mul, x_poly, k_sums[(m - 1) // 2]))
-                assert Fraction(weights[s], math.factorial(n)) == direct, (n, m, s)
+                assert Fraction(weights[j], math.factorial(n)) == direct, (n, m, j)

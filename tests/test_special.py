@@ -31,7 +31,7 @@ KNOWN_BERNOULLI = {
 @functools.lru_cache(maxsize=None)
 def recurrence_bernoulli(top: int) -> tuple[Fraction, ...]:
     """B_0 .. B_top from sum(C(m+1, k) B_k for k = 0..m) == 0, one Fraction
-    at a time: the reference the Eulerian-row sum is checked against."""
+    at a time: the reference the gamma rows' middle terms are checked against."""
     b = [Fraction(1)]
     for m in range(1, top + 1):
         b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
@@ -62,14 +62,24 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
     def test_equals_the_recurrence_past_the_table(self, order):
-        # B_n reads row n - 1: B_301 the table's last row, the others the one
-        # kept past it, rolled forward in ascending order, restarted from the
-        # table in descending order
+        # an even B_n reads row n - 1: B_302 and B_330 the row kept past the
+        # table, rolled forward in ascending order, restarted from the table
+        # in descending order; odd ones read no row
         reference = recurrence_bernoulli(330)
         bernoulli.cache_clear()
         for n in (301, 302, 305, 330)[::order]:
             assert bernoulli(n) == reference[n], n
         assert len(special._stirling_rows) <= special._STIRLING_SHARED_MAX + 1
+
+    def test_builds_no_eulerian_row(self, monkeypatch):
+        # the Bernoulli numbers read only the gamma table; the Eulerian one
+        # belongs to stirling2
+        monkeypatch.setattr(special, "_eulerian_rows", [(1,)])
+        monkeypatch.setattr(special, "_far", {})
+        bernoulli.cache_clear()
+        assert [bernoulli(n) for n in range(331)] == list(recurrence_bernoulli(330))
+        assert special._eulerian_rows == [(1,)]
+        assert list(special._far) == [special._next_gamma_row]
 
     def test_even_denominator_is_product_of_special_primes(self):
         # denominator of B_n (n even) == product of primes p with (p-1) | n
@@ -135,8 +145,8 @@ class TestStirlingMemory:
     CAP = 300  # the last row of the shared triangle
 
     def test_triangle_stops_at_the_cap(self):
-        # one block at the coefficient guard needs row 1100 of the triangle
-        assert coeff_goldberg_sum((COEFF_DEGREE_MAX,)) == 0
+        # a word at the coefficient guard needs row 1098 of the gamma table
+        assert coeff_goldberg_sum((COEFF_DEGREE_MAX - 2, 2)) != 0
         assert len(special._stirling_rows) <= self.CAP + 1
 
     @pytest.mark.parametrize("offsets", [
@@ -152,12 +162,14 @@ class TestStirlingMemory:
         assert len(special._stirling_rows) <= self.CAP + 1
 
     def test_block_polys_stop_at_the_cap(self):
-        # the product route multiplies the table's rows; each one near the
-        # guard holds about 1.2 MiB, and only the far row is kept past the cap
+        # the product route multiplies the gamma table's rows; each one near
+        # the guard holds about 0.6 MiB, and only the far row is kept past
+        # the cap.  B_q reads row q - 1 before the product reads row q, so
+        # the kept row only rolls forward
         assert special._STIRLING_SHARED_MAX == self.CAP
         assert coeff_goldberg_sum((self.CAP, 1)) != 0
-        for q in range(1000, 1101, 4):
-            assert coeff_goldberg_sum((q,)) == 0
+        for q in range(1000, 1100, 4):
+            assert coeff_bernoulli_m2(q + 1, 1) == coeff_goldberg_sum((q, 1)), q
         assert len(special._stirling_rows) == self.CAP + 1
 
     def test_bernoulli_route_stops_at_the_cap(self):
