@@ -61,7 +61,7 @@ from .goldberg import (
     coeff_word,
     series_oracle,
 )
-from .special import bernoulli, stirling2, stirling2_from_sum
+from .special import bernoulli, stirling2
 from .witness import (
     WitnessBranch,
     WitnessResult,
@@ -124,7 +124,6 @@ __all__ = [
     "require_prime",
     "series_oracle",
     "stirling2",
-    "stirling2_from_sum",
     "vp",
     "witness_runs",
 ]

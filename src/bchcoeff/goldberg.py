@@ -325,18 +325,20 @@ def _goldberg_numerator(q: tuple[int, ...]) -> int:
 
     The gamma vectors of the blocks multiply by convolution; as
     gamma_1 = gamma_2 = (1,), the parts 1 and 2 add a block to the k-sum and
-    nothing to the product.  One block past degree 1 is 0, as log(e^A) = A.
+    nothing to the product.  An odd number of blocks is 0 at even degree,
+    where the k-sum weights vanish, and past degree 1 for one block, as
+    log(e^A) = A; neither reads a row.
     """
-    n = sum(q)
+    n, m = sum(q), len(q)
     if n > COEFF_DEGREE_MAX:
         raise ValueError(f"goldberg degree guard: degree <= {COEFF_DEGREE_MAX}, got {n}")
-    if len(q) == 1 and n > 1:
+    if m % 2 and (n % 2 == 0 or m == 1 < n):
         return 0
     poly = [1]
     for qi in q:
         if qi > 2:
             poly = _poly_mul(poly, _stirling_row(qi))
-    return sum(map(operator.mul, poly, _k_sum_weights(n, len(q))))
+    return sum(map(operator.mul, poly, _k_sum_weights(n, m)))
 
 
 def coeff_tilde(runs) -> Fraction:

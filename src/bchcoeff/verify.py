@@ -61,7 +61,7 @@ from .refdata import (
     TABLE1,
     TABLE2,
 )
-from .special import bernoulli, stirling2, stirling2_from_sum
+from .special import _eulerian_rows, _worpitzky, bernoulli, stirling2
 from .witness import lemma1_k, lemma2_k, power_branch_runs, witness_runs
 
 __all__ = [
@@ -220,10 +220,11 @@ def suite_goldberg_symmetry(bound: int) -> list[CheckRecord]:
                   for w in _words_of_degree(n) if w.a_first)
         _ok(records, "run-permutation-invariance", f"n={n}",
             bad == 0, "0 mismatches", f"{bad} mismatches")
+    # on alg2: the product route returns 0 for these shapes by this rule
     for n in range(2, min(bound + 1, 11), 2):
         bad = []
         for parts in partitions(n):
-            if len(parts) % 2 == 1 and coeff_goldberg_sum(parts) != 0:
+            if len(parts) % 2 == 1 and coeff_alg2(WordSpec(True, parts)) != 0:
                 bad.append(parts)
         _ok(records, "even-degree-odd-blocks-vanish", f"n={n}",
             not bad, "all zero", f"nonzero at {bad[:3]}" if bad else "all zero")
@@ -365,14 +366,15 @@ def suite_stirling(bound: int) -> list[CheckRecord]:
         parity_bad == 0, "S(q,3) == q (mod 2)", f"{parity_bad} mismatches")
     _ok(records, "stirling-three-blocks-closed-form", f"q=3..{bound}",
         closed_bad == 0, "matches (3^(q-1)-1)/2 + 1 - 2^(q-1)", f"{closed_bad} mismatches")
-    cross_bad = sum(stirling2(q, j) != stirling2_from_sum(q, j)
+    # Worpitzky's identity on every Eulerian row up to 40, then on 300, 301
+    # and the bound's, sampled; the rows come from one ascending pass
+    far = sorted({q for q in (300, 301, bound) if 40 < q <= bound}, reverse=True)
+    rows = {q: row for q, row in zip(range(bound + 1), _eulerian_rows()) if q <= 40 or q in far}
+    cross_bad = sum(_worpitzky(rows[q], j) != stirling2(q, j)
                     for q in range(1, min(bound, 40) + 1) for j in range(1, q + 1))
     _ok(records, "stirling-two-routes", f"q<=40",
         cross_bad == 0, "Worpitzky's sum == alternating sum", f"{cross_bad} mismatches")
-    # rows past that, sampled: the bound's, then the table's last row and the
-    # first past its cap; descending, so only 301 restarts the kept row
-    far = sorted({q for q in (300, 301, bound) if 40 < q <= bound}, reverse=True)
-    far_bad = sum(stirling2(q, j) != stirling2_from_sum(q, j)
+    far_bad = sum(_worpitzky(rows[q], j) != stirling2(q, j)
                   for q in far for j in {1, 2, 3, q // 3, q // 2, q - 1, q})
     if far:
         _ok(records, "stirling-two-routes-sampled", f"q={','.join(map(str, far))}", far_bad == 0,

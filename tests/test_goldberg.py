@@ -34,7 +34,7 @@ from bchcoeff.goldberg import (
     series_oracle,
 )
 from bchcoeff.refdata import TABLE2
-from bchcoeff.special import _eulerian_row, _stirling_row
+from bchcoeff.special import _eulerian_rows, _stirling_row
 
 H3 = {
     "AAB": Fraction(1, 12),
@@ -46,6 +46,18 @@ H3 = {
     "AAA": Fraction(0),
     "BBB": Fraction(0),
 }
+
+
+# A_q for q <= 301, one ascending pass of special's generator for the module
+EULERIAN_ROWS = tuple(itertools.islice(_eulerian_rows(), 302))
+
+
+def eulerian_row(q: int) -> tuple[int, ...]:
+    """A(q, k) for k = 0..q-1: the module's rows, and past them a fresh pass
+    of the generator, which keeps nothing."""
+    if q < len(EULERIAN_ROWS):
+        return EULERIAN_ROWS[q]
+    return next(itertools.islice(_eulerian_rows(), q, None))
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +158,7 @@ def eulerian_numerator(runs) -> int:
     poly = [1]
     for q in runs:
         if q > 1:
-            poly = eulerian_half_mul(poly, _eulerian_row(q))
+            poly = eulerian_half_mul(poly, eulerian_row(q))
     return sum(map(operator.mul, poly, eulerian_k_sum_weights(sum(runs), len(runs))))
 
 
@@ -337,11 +349,11 @@ class TestPartitionWalk:
 
     @pytest.mark.parametrize("q", [1, 2, 7, 300, 301, 1100])
     def test_block_poly(self, q):
-        # the Eulerian polynomial A_q from special's second table, on both
-        # sides of its cap: palindromic, summing to q!, and equal to the
-        # closed form sum((-1)^i C(q+1, i) (k+1-i)^q for i <= k); past 301 a
-        # spread of k
-        row = _eulerian_row(q)
+        # the Eulerian polynomial A_q from special's generator, inside the
+        # module's rows and past them: palindromic, summing to q!, and equal
+        # to the closed form sum((-1)^i C(q+1, i) (k+1-i)^q for i <= k); past
+        # 301 a spread of k
+        row = eulerian_row(q)
         assert isinstance(row, tuple) and len(row) == q
         assert row == row[::-1] and sum(row) == math.factorial(q)
         for k in range((q + 1) // 2) if q <= 301 else (0, 1, 2, q // 3, q // 2 - 1, q // 2):
@@ -349,11 +361,12 @@ class TestPartitionWalk:
                                  for i in range(k + 1)), k
 
     def test_gamma_rows_expand_to_the_eulerian_rows(self):
-        # A_q(z) = sum(gamma(q, k) z^k (1+z)^(q-1-2k)) on both sides of the cap
+        # A_q(z) = sum(gamma(q, k) z^k (1+z)^(q-1-2k)) on both sides of the
+        # gamma table's cap
         for q in range(1, 302):
             row = _stirling_row(q)
             assert isinstance(row, tuple) and len(row) == (q + 1) // 2, q
-            assert gamma_to_eulerian(row, q - 1) == list(_eulerian_row(q)), q
+            assert gamma_to_eulerian(row, q - 1) == list(eulerian_row(q)), q
 
     def test_gamma_row_at_the_guard(self):
         # A_q(1) = q!, and z = 1 gives each gamma(q, k) the weight 2^(q-1-2k)
@@ -363,10 +376,11 @@ class TestPartitionWalk:
         assert sum(g << (q - 1 - 2 * k) for k, g in enumerate(row)) == math.factorial(q)
 
     def test_block_poly_is_the_stirling_block(self):
-        # P_q(x) = z A_q(z) / (1-z)^q with z = -x/(1-x), from both tables
+        # P_q(x) = z A_q(z) / (1-z)^q with z = -x/(1-x), from the Eulerian
+        # rows and from the gamma table
         for q in range(1, 41):
             block = list(stirling_basis_row(q))
-            assert to_stirling_basis(_eulerian_row(q), 1, q) == block, q
+            assert to_stirling_basis(eulerian_row(q), 1, q) == block, q
             assert to_stirling_basis(gamma_to_eulerian(_stirling_row(q), q - 1), 1, q) == block, q
 
     def test_poly_mul_is_the_full_product(self):
@@ -376,8 +390,8 @@ class TestPartitionWalk:
             poly, half, full = [1], [1], [1]
             for q in qs:
                 poly = _poly_mul(poly, _stirling_row(q))
-                half = eulerian_half_mul(half, _eulerian_row(q))
-                full = stirling_poly_mul(full, _eulerian_row(q))
+                half = eulerian_half_mul(half, eulerian_row(q))
+                full = stirling_poly_mul(full, eulerian_row(q))
             assert gamma_to_eulerian(poly, sum(qs) - len(qs)) == half == full, qs
 
     def test_numerator_equals_stirling_basis_on_every_partition(self):
@@ -405,6 +419,16 @@ class TestPartitionWalk:
         for q in (2, 3, 301, COEFF_DEGREE_MAX):
             assert _goldberg_numerator((q,)) == 0
             assert coeff_goldberg_sum((q,)) == 0
+
+    def test_odd_blocks_at_even_degree_read_no_row(self, monkeypatch):
+        # the k-sum weights of an odd number of blocks at even degree are all
+        # zero, so the product is never formed; alg2 reads no gamma row
+        monkeypatch.setattr(goldberg, "_stirling_row", None)
+        for runs in ((2, 1, 1), (3, 3, 2), (5, 4, 3, 2, 2), (1, 9, 1, 2, 7)):
+            assert coeff_alg2(WordSpec(True, runs)) == 0, runs
+            assert _goldberg_numerator(runs) == coeff_goldberg_sum(runs) == 0, runs
+        for runs in ((368, 366, 366), (COEFF_DEGREE_MAX - 4, 1, 1, 1, 1)):
+            assert _goldberg_numerator(runs) == coeff_tilde(runs) == 0, runs
 
 
 class TestDegreeGuards:

@@ -57,7 +57,8 @@ def test_import_leaves_out_verification_and_dataclasses():
 @pytest.mark.parametrize("suite_args", [
     ["--suite", "table1"],
     ["--suite", "oracle-agreement", "--max-n", "8"],
-    # stirling2 divides the table's rows by j!, a check that must survive -O
+    # the alternating sum and Worpitzky's identity each divide by j! under a
+    # check that must survive -O
     ["--suite", "stirling", "--max-n", "320"],
     # q_set tells its hits by residues of the walk's integers, with no assert
     ["--suite", "qset", "--max-n", "21"],
@@ -65,6 +66,8 @@ def test_import_leaves_out_verification_and_dataclasses():
     # two-block suite runs the product route's gamma weights
     ["--suite", "bernoulli-vsc"],
     ["--suite", "two-block", "--max-n", "12"],
+    # the vanishing rule for odd blocks at even degree is checked on alg2
+    ["--suite", "goldberg-symmetry", "--max-n", "10"],
 ])
 def test_verify_under_optimize(suite_args):
     # python -O strips asserts; every check must still run and pass

@@ -31,7 +31,7 @@ from bchcoeff.goldberg import (  # noqa: E402
     coeff_word,
     series_oracle,
 )
-from bchcoeff.special import stirling2, stirling2_from_sum  # noqa: E402
+from bchcoeff.special import _eulerian_rows, _worpitzky, stirling2  # noqa: E402
 from test_goldberg import (  # noqa: E402
     eulerian_numerator,
     gamma_to_eulerian,
@@ -39,6 +39,9 @@ from test_goldberg import (  # noqa: E402
     to_stirling_basis,
     walk_leaves,
 )
+
+# A_q for q <= 400, one ascending pass of special's generator for the module
+EULERIAN_ROWS = tuple(itertools.islice(_eulerian_rows(), 401))
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -72,8 +75,8 @@ def test_product_route_equals_stirling_basis(runs):
     assert _goldberg_numerator(runs) == stirling_basis_numerator(runs)
 
 
-# a block past the table's cap of 300 in about half the examples, so the
-# kept rows of both tables roll forward and restart
+# a block past the gamma table's cap of 300 in about half the examples, so
+# its kept row rolls forward and restarts
 @settings(PROFILE, max_examples=40)
 @given(run_lists(300), st.one_of(st.just(()), st.tuples(st.integers(301, 360))))
 def test_product_route_equals_eulerian_basis(runs, far):
@@ -160,10 +163,10 @@ def test_even_degree_odd_blocks_vanish(runs, a_first):
 @given(st.lists(st.integers(1, 400).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q))),
                 min_size=1, max_size=6))
 def test_stirling_routes_agree(pairs):
-    # q in any order across the cap of 300: the table fills, and the one row
-    # kept past it rolls forward or restarts from the cap
+    # q in any order up to 400: the alternating sum against Worpitzky's
+    # identity on the Eulerian rows
     for q, j in pairs:
-        assert stirling2(q, j) == stirling2_from_sum(q, j)
+        assert stirling2(q, j) == _worpitzky(EULERIAN_ROWS[q], j)
 
 
 def test_k_sum_closed_form():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 from bchcoeff import special
 from bchcoeff.exactmath import primes_upto
 from bchcoeff.goldberg import COEFF_DEGREE_MAX, coeff_bernoulli_m2, coeff_goldberg_sum
-from bchcoeff.special import bernoulli, stirling2, stirling2_from_sum
+from bchcoeff.special import _eulerian_rows, _worpitzky, bernoulli, stirling2
 
 
 KNOWN_BERNOULLI = {
@@ -71,16 +72,6 @@ class TestBernoulli:
             assert bernoulli(n) == reference[n], n
         assert len(special._stirling_rows) <= special._STIRLING_SHARED_MAX + 1
 
-    def test_builds_no_eulerian_row(self, monkeypatch):
-        # the Bernoulli numbers read only the gamma table; the Eulerian one
-        # belongs to stirling2
-        monkeypatch.setattr(special, "_eulerian_rows", [(1,)])
-        monkeypatch.setattr(special, "_far", {})
-        bernoulli.cache_clear()
-        assert [bernoulli(n) for n in range(331)] == list(recurrence_bernoulli(330))
-        assert special._eulerian_rows == [(1,)]
-        assert list(special._far) == [special._next_gamma_row]
-
     def test_even_denominator_is_product_of_special_primes(self):
         # denominator of B_n (n even) == product of primes p with (p-1) | n
         for n in range(2, 61, 2):
@@ -123,9 +114,22 @@ class TestStirling:
                 assert stirling2(q, j) == sum(1 for s in strings if max(s) + 1 == j)
 
     def test_two_routes_agree(self):
-        for q in range(1, 41):
+        # the alternating sum against Worpitzky's identity on the Eulerian rows
+        for q, row in zip(range(1, 41), itertools.islice(_eulerian_rows(), 1, None)):
             for j in range(1, q + 1):
-                assert stirling2(q, j) == stirling2_from_sum(q, j)
+                assert stirling2(q, j) == _worpitzky(row, j), (q, j)
+
+    def test_reads_no_table(self, monkeypatch):
+        # the alternating sum reads no row: the gamma table keeps its start
+        # row and nothing is kept past its cap
+        monkeypatch.setattr(special, "_stirling_rows", [(1,)])
+        monkeypatch.setattr(special, "_far", None)
+        for q, row in zip(range(1, 401), itertools.islice(_eulerian_rows(), 1, None)):
+            for j in {1, 2, 3, q // 3, q // 2, q - 1, q}.intersection(range(1, q + 1)):
+                assert stirling2(q, j) == _worpitzky(row, j), (q, j)
+            assert stirling2(q, q + 1) == 0
+        assert special._stirling_rows == [(1,)]
+        assert special._far is None
 
     def test_surjection_form(self):
         for q in range(1, 20):
@@ -138,7 +142,28 @@ class TestStirling:
         with pytest.raises(ValueError):
             stirling2(3, 0)
         with pytest.raises(ValueError):
-            stirling2_from_sum(0, 0)
+            stirling2(0, 0)
+        # Worpitzky's division by j! is checked: (1, 2) is no Eulerian row
+        assert _worpitzky((1, 1), 2) == stirling2(2, 2) == 1
+        with pytest.raises(ArithmeticError, match="S\\(2,2\\)"):
+            _worpitzky((1, 2), 2)
+
+
+def gamma_rows_past_the_cap(top: int) -> dict[int, tuple[int, ...]]:
+    """Gamma rows 300..top rolled by ``_next_gamma_row`` from row 0, apart
+    from the table: the reference its far row is checked against."""
+    row, rows = (1,), {}
+    for q in range(1, top + 1):
+        row = special._next_gamma_row(row, q)
+        if q >= 300:
+            rows[q] = row
+    return rows
+
+
+def check_gamma_row(row: tuple[int, ...], q: int, reference) -> None:
+    # A_q(1) = q!, and z = 1 gives each gamma(q, k) the weight 2^(q-1-2k)
+    assert sum(g << (q - 1 - 2 * k) for k, g in enumerate(row)) == math.factorial(q), q
+    assert row == reference[q], q
 
 
 class TestStirlingMemory:
@@ -155,11 +180,12 @@ class TestStirlingMemory:
         (7, 7, 60, 60, 7),    # repeated
     ], ids=["ascending", "descending", "repeated"])
     def test_rows_past_the_cap(self, offsets):
+        reference = gamma_rows_past_the_cap(self.CAP + 90)
         for q in (self.CAP + k for k in offsets):
-            for j in (1, 2, 3, q // 3, q // 2, q - 1, q):
-                assert stirling2(q, j) == stirling2_from_sum(q, j), (q, j)
-            assert stirling2(q, q + 1) == 0
-        assert len(special._stirling_rows) <= self.CAP + 1
+            row = special._stirling_row(q)
+            check_gamma_row(row, q, reference)
+            assert special._far == (q, row)
+        assert len(special._stirling_rows) == self.CAP + 1
 
     def test_block_polys_stop_at_the_cap(self):
         # the product route multiplies the gamma table's rows; each one near
@@ -179,20 +205,23 @@ class TestStirlingMemory:
 
 
 class TestThreadSafety:
-    def test_concurrent_fill(self):
+    def test_concurrent_fill(self, monkeypatch):
         errors = []
         values = []
-        # every thread then asks for an index nobody has computed yet
+        reference = gamma_rows_past_the_cap(340)
+        # every thread then asks for an index nobody has computed yet, off an
+        # empty table
+        monkeypatch.setattr(special, "_stirling_rows", [(1,)])
+        monkeypatch.setattr(special, "_far", None)
         bernoulli.cache_clear()
 
         def worker(i):
             try:
                 values.append(bernoulli(180))
-                assert stirling2(150, 70) == stirling2_from_sum(150, 70)
-                # half the threads move the one row kept past the triangle up,
+                # half the threads move the one row kept past the table up,
                 # half move it down
                 for q in (310, 340, 320)[::1 if i % 2 else -1]:
-                    assert stirling2(q, 70) == stirling2_from_sum(q, 70)
+                    check_gamma_row(special._stirling_row(q), q, reference)
             except Exception as exc:  # pragma: no cover - only on failure
                 errors.append(exc)
 
