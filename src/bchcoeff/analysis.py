@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .denominators import l_exponent
 from .exactmath import (
-    PADIC_INFINITY,
     digit_sum,
     legendre_vp_factorial,
     mod_inverse,
@@ -53,35 +52,23 @@ class LeadingTerm(namedtuple("LeadingTerm", "e a_hat u_hat")):
 def extract_leading(x: Fraction | int, p: int) -> LeadingTerm:
     """Split off the leading p-part of a rational.
 
-    e = max(0, -vp(x)); a_hat is the mod-p residue carried at that depth
-    (0 whenever vp(x) >= 1, and for x == 0 the whole triple is zero).
+    e = max(0, -vp(x)), the valuation of the reduced denominator; a_hat is
+    the mod-p residue carried at that depth (0 whenever vp(x) >= 1, and for
+    x == 0 the whole triple is zero).
     """
     require_prime(p)
     x = Fraction(x)
     if x == 0:
         return LeadingTerm(0, 0, Fraction(0))
     num, den = x.numerator, x.denominator
-    e = 0
-    v = den
-    while v % p == 0:
-        v //= p
-        e += 1
-    a_hat = num % p * mod_inverse(v, p) % p
+    e = vp(den, p)
+    a_hat = num % p * mod_inverse(den // p**e, p) % p
     u_hat = x - Fraction(a_hat, p**e)
     if u_hat and vp(u_hat, p) <= -e:
         raise ArithmeticError(
             f"extract_leading({x}, {p}): tail {u_hat} does not lie above depth {e}"
         )
     return LeadingTerm(e, a_hat, u_hat)
-
-
-def _exact_log(m: int, p: int) -> int | None:
-    """l with m == p**l, else None."""
-    l = 0
-    while m > 1 and m % p == 0:
-        m //= p
-        l += 1
-    return l if m == 1 else None
 
 
 def expected_a(n: int, p: int, m: int) -> int | None:
@@ -108,15 +95,15 @@ def expected_a(n: int, p: int, m: int) -> int | None:
     l_cap = l_exponent(n, p)
     if m == 2 and l_cap <= 1 and n >= p:
         return 1 if n % 2 == 1 else (p - 1) % p
-    l = _exact_log(m, p)
-    if l is not None and 1 <= l <= l_cap:
+    l = vp(m, p)
+    if m == p**l and 1 <= l <= l_cap:
         if p == 2:
             return 1
         if n % 2 == 0:
             return None
         return 2 * pow((p - 1) // 2, n, p) % p
-    l = _exact_log(m - 1, p)
-    if l is not None and 1 <= l <= l_cap:
+    l = vp(m - 1, p)
+    if m - 1 == p**l and 1 <= l <= l_cap:
         if digit_sum(n, p) == p**l:
             raise ValueError(
                 f"m = p**l + 1 needs s_p(n) != p**l (both are {p ** l})"
@@ -129,16 +116,22 @@ def expected_a(n: int, p: int, m: int) -> int | None:
     raise ValueError(f"(n={n}, p={p}, m={m}) is outside the covered regimes")
 
 
+def _denominators_by_degree(bound: int) -> list[list[int]]:
+    """The coefficient denominators of every word of length n <= bound, at
+    index n, from one oracle build: a degree-n coefficient does not depend on
+    where the series is truncated."""
+    by_degree: list[list[int]] = [[] for _ in range(bound + 1)]
+    for word, coeff in series_oracle(bound).items():
+        by_degree[len(word)].append(coeff.denominator)
+    return by_degree
+
+
 def brute_lcm_degree(n: int) -> int:
     """lcm of the coefficient denominators over all 2^n words of degree n.
 
     The series oracle's own guard, ``SERIES_ORACLE_MAX``, bounds n.
     """
-    out = 1
-    for word, coeff in series_oracle(n).items():
-        if len(word) == n:
-            out = math.lcm(out, coeff.denominator)
-    return out
+    return math.lcm(*_denominators_by_degree(n)[n])
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -221,8 +214,7 @@ def lemma3_sides(j, p: int, l: int):
     if any(x < 1 for x in tup):
         raise ValueError(f"entries must be positive: {tup}")
     lhs = sum(legendre_vp_factorial(x, p) for x in tup)
-    floor = sum(tup) // p**l
-    rhs = vp(floor, p) if floor else PADIC_INFINITY
+    rhs = vp(sum(tup) // p**l, p)
     if all(x <= p - 1 for x in tup):
         cls = Lemma3Class.ALL_SMALL
     else:

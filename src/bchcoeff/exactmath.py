@@ -5,7 +5,7 @@ Everything in this package runs at arbitrary precision: rationals are
 rounds.  This module collects the small number-theoretic helpers the rest of
 the code leans on: p-adic valuations and digit expansions, Legendre's
 factorial valuation, binomial residues via Lucas' digitwise product, a prime
-sieve, and modular inverses.
+sieve, a primality test with a named limit, and modular inverses.
 
 The p-adic valuation of zero is ``PADIC_INFINITY`` (``math.inf``), which
 compares greater than every finite valuation.  It is a distinguished value,
@@ -58,24 +58,46 @@ def rational_from_str(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+# psi_12, the least strong pseudoprime to every prime base up to 37
+# (Sorenson and Webster, arXiv:1509.00864): below it, that test is exact
+_SPRP_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; ample for the prime sizes used here."""
-    if n < 2:
-        return False
-    if n < 4:
+    """Exact primality below psi_12 = 318665857834031151167461: trial division
+    below 2**18, where it is the cheaper, then the strong probable-prime test
+    to the prime bases 2 through 37.  From psi_12 up it raises ValueError
+    naming that limit."""
+    if n < 1 << 18:
+        if n < 4 or n % 2 == 0:
+            return 2 <= n < 4
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _SPRP_LIMIT:
+        raise ValueError(f"primality guard: p < {_SPRP_LIMIT}, got {n}")
+    # n - 1 = d 2^s with d odd; an even n fails at base 2, as s = 0
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def require_prime(p: int) -> None:
-    """Raise ValueError unless p is prime."""
+    """Raise ValueError unless p is prime; past psi_12, the error names that
+    limit (see ``is_prime``)."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"expected a prime, got {p!r}")
 

@@ -148,9 +148,9 @@ def _alg2_column(cols, fact, d, a_lead, r, q_next, blocks) -> list[int]:
     Entry 1 is nonzero only on one run, or on A^r B^q_next; entry n is d.
     Between them, entry k sums over the tail's first factor, a word of Y: a
     power of the leading letter, or after an A-run the whole run then B^j.
-    Each term is the rest's entry k-1 over that word's factorials, divided
-    exactly.  The column depends only on the tail, so words that share a tail
-    share its columns.
+    Each term is the rest's entry k-1 over that word's factorials; one guarded
+    loop divides them all exactly, the same-block terms first.  The column
+    depends only on the tail, so words that share a tail share its columns.
     """
     n = len(cols)
     if blocks == 1:
@@ -163,26 +163,18 @@ def _alg2_column(cols, fact, d, a_lead, r, q_next, blocks) -> list[int]:
     # tail reads 0 past its length
     col = [0] * len(fact)
     col[1] = seed
-    same = [(cols[n - j], fact[j]) for j in range(1, min(r, n - 1) + 1)]
-    boundary = []
+    terms = [(cols[n - j], fact[j], "same-block step") for j in range(1, min(r, n - 1) + 1)]
     if a_lead and blocks >= 2:
-        boundary = [(cols[n - r - j], fact[r] * fact[j])
-                    for j in range(1, min(q_next, n - r - 1) + 1)]
+        terms += [(cols[n - r - j], fact[r] * fact[j], "block-boundary step")
+                  for j in range(1, min(q_next, n - r - 1) + 1)]
     for k in range(1, n - 1):
         h = 0
-        for c, f in same:
+        for c, f, step in terms:
             e = c[k]
             if e:
                 q, rem = divmod(e, f)
                 if rem:
-                    raise IntegerExactnessError(f"same-block step: {e} not divisible by {f}")
-                h += q
-        for c, f in boundary:
-            e = c[k]
-            if e:
-                q, rem = divmod(e, f)
-                if rem:
-                    raise IntegerExactnessError(f"block-boundary step: {e} not divisible by {f}")
+                    raise IntegerExactnessError(f"{step}: {e} not divisible by {f}")
                 h += q
         col[k + 1] = h
     col[n] = d

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .analysis import (
+    _denominators_by_degree,
     bernoulli_sum_residue,
     expected_a,
     extract_leading,
@@ -163,16 +164,6 @@ def suite_min_degree() -> list[CheckRecord]:
 def _words_of_degree(n: int):
     for letters in itertools.product("AB", repeat=n):
         yield WordSpec.from_letters("".join(letters))
-
-
-def _denominators_by_degree(bound: int) -> list[list[int]]:
-    """The coefficient denominators of every word of length n <= bound, at
-    index n, from one oracle build: a degree-n coefficient does not depend on
-    where the series is truncated."""
-    by_degree: list[list[int]] = [[] for _ in range(bound + 1)]
-    for word, coeff in series_oracle(bound).items():
-        by_degree[len(word)].append(coeff.denominator)
-    return by_degree
 
 
 def suite_oracle_agreement(bound: int) -> list[CheckRecord]:
@@ -545,7 +536,7 @@ def suite_table2(bound: int) -> list[CheckRecord]:
 
 def suite_qset(bound: int) -> list[CheckRecord]:
     """Exhaustive partition scans against the recorded extreme sets; the
-    default bound leaves out the slower rows past degree 33."""
+    default bound, 39, covers every row."""
     records: list[CheckRecord] = []
     for (n, p), expected in sorted(QSET_REFERENCE.items()):
         if n > bound:
@@ -583,7 +574,7 @@ SUITES = {
     "bernoulli-sum": (suite_bernoulli_sum, 18, 200),
     "table1": (suite_table1, None, None),
     "table2": (suite_table2, 255, None),
-    "qset": (suite_qset, 33, None),
+    "qset": (suite_qset, 39, None),
 }
 
 

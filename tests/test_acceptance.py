@@ -95,7 +95,7 @@ def test_c7_extreme_partition_scans():
     elapsed = time.monotonic() - start
     ok = not failing and elapsed < 300.0
     record("C7", "exhaustive partition scans reproduce the recorded extreme "
-                 "sets (p = 2 through degree 33, and p = 3, 5, 7) in under 300s", ok, elapsed)
+                 "sets (p = 2 through degree 39, and p = 3, 5, 7) in under 300s", ok, elapsed)
     assert not failing, [r.line() for r in failing]
     assert elapsed < 300.0
 

@@ -110,6 +110,13 @@ class TestExpectedA:
         with pytest.raises(ValueError):
             expected_a(5, 4, 2)
 
+    @pytest.mark.parametrize("m", [18, 19, 28])
+    def test_rejects_near_a_multiple_of_a_power(self, m):
+        # l(161, 3) = 2, and m or m - 1 is 2 * 9 or 3 * 9: divisible by 3^2
+        # but not a power of 3, so neither power regime applies
+        with pytest.raises(ValueError, match="outside the covered regimes"):
+            expected_a(161, 3, m)
+
 
 class TestBruteSweeps:
     def test_lcm_small_degrees(self):

@@ -248,6 +248,21 @@ class TestQsetCommand:
         assert "error:" in err and f"n <= {QSET_DEGREE_MAX}, got 99" in err
 
 
+class TestLargePrimes:
+    # 2^61 - 1 is prime: trial division to its square root took about 7.6e8 steps
+    @pytest.mark.parametrize("command", ["qset", "witness"])
+    def test_mersenne_prime(self, capsys, command):
+        assert run([command, "--n", "5", "--p", str(2**61 - 1)]) == 0
+        out, _ = lines_of(capsys)
+        assert "2305843009213693951" in out
+
+    @pytest.mark.parametrize("command", ["qset", "witness"])
+    def test_past_the_primality_limit(self, capsys, command):
+        assert run([command, "--n", "5", "--p", "318665857834031151167463"]) == 2
+        _, err = lines_of(capsys)
+        assert "error:" in err and "p < 318665857834031151167461" in err
+
+
 class TestLcmCommand:
     def test_agreement(self, capsys):
         assert run(["lcm", "--n", "8"]) == 0

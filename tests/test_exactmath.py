@@ -36,6 +36,15 @@ class TestRationalStrings:
             assert rational_from_str(str(x)) == x
 
 
+def trial_division(n: int) -> bool:
+    """The reference: n >= 2 with no divisor in 2..isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# psi_12, the least strong pseudoprime to every prime base up to 37
+PSI_12 = 318665857834031151167461
+
+
 class TestPrimes:
     def test_is_prime_small(self):
         assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -43,12 +52,68 @@ class TestPrimes:
         assert is_prime(7919)
         assert not is_prime(7917)
 
+    def test_against_the_sieve(self):
+        # past 2**18 is_prime leaves trial division for the strong test
+        bound = (1 << 18) + (1 << 16)
+        assert [n for n in range(bound + 1) if is_prime(n)] == primes_upto(bound)
+        assert [n for n in range(3000) if trial_division(n)] == primes_upto(2999)
+
+    def test_against_trial_division(self):
+        rng = random.Random(61)
+        for n in [rng.randrange(1 << 18, 10**10) for _ in range(300)] + [2**31 - 1, 2**31 + 11]:
+            assert is_prime(n) == trial_division(n), n
+
+    @pytest.mark.parametrize("n, factors", [
+        # strong pseudoprime to the bases 2, 3, 5, 7 (caught from base 11 on)
+        (3215031751, (151, 751, 28351)),
+        # psi_9: strong pseudoprime to every prime base up to 31
+        (3825123056546413051, (149491, 747451, 34233211)),
+    ])
+    def test_strong_pseudoprimes(self, n, factors):
+        assert math.prod(factors) == n and all(map(trial_division, factors))
+        assert not is_prime(n)
+
+    def test_carmichael_numbers(self):
+        # Korselt: squarefree, and p - 1 divides n - 1 for each prime p | n.
+        # Chernick's (6k+1)(12k+1)(18k+1) is one whenever all three are prime.
+        chernick = [(6 * k + 1, 12 * k + 1, 18 * k + 1) for k in range(1, 3000)]
+        cases = [(561, (3, 11, 17)), (1105, (5, 13, 17)), (8911, (7, 19, 67))]
+        cases += [(math.prod(f), f) for f in chernick if all(map(trial_division, f))]
+        assert len(cases) > 20 and cases[-1][0] > 10**12
+        for n, factors in cases:
+            assert math.prod(factors) == n
+            assert all((n - 1) % (f - 1) == 0 for f in factors)
+            assert not is_prime(n), n
+
+    def test_mersenne_numbers(self):
+        # Lucas-Lehmer decides 2^q - 1 for an odd prime q: every one below
+        # psi_12; the composite ones are strong pseudoprimes to base 2
+        def lucas_lehmer(q):
+            m, s = 2**q - 1, 4
+            for _ in range(q - 2):
+                s = (s * s - 2) % m
+            return s == 0
+
+        exponents = primes_upto(78)[1:]
+        assert 2**exponents[-1] - 1 < PSI_12 < 2**79 - 1
+        assert [q for q in exponents if lucas_lehmer(q)] == [3, 5, 7, 13, 17, 19, 31, 61]
+        for q in exponents:
+            assert is_prime(2**q - 1) == lucas_lehmer(q), q
+
+    def test_limit(self):
+        for n in (PSI_12, PSI_12 + 2, 2**89 - 1):
+            with pytest.raises(ValueError, match=f"p < {PSI_12}, got {n}$"):
+                require_prime(n)
+
     def test_require_prime(self):
         require_prime(13)
+        require_prime(2**61 - 1)
         with pytest.raises(ValueError):
             require_prime(12)
         with pytest.raises(ValueError):
             require_prime(1)
+        with pytest.raises(ValueError, match="expected a prime"):
+            require_prime(2**61 + 1)
 
     def test_primes_upto(self):
         assert primes_upto(1) == []

@@ -1,29 +1,61 @@
-"""Property tests: the coefficient routes against each other on random words,
-the product route against its Stirling-basis and Eulerian-basis references,
-the partition walk's
-leaves against the product route, ``q_set`` against the valuation of every
-partition's coefficient, and the two Stirling routes on random indices.
+"""Property tests: the routes that compute one thing checked against each
+other on random inputs from a fixed, derandomized stream, so a run is
+reproducible and its cost bounded.
 
-Each property draws words from a fixed, derandomized stream, so a run is
-reproducible and its cost bounded; the routes share no code beyond WordSpec.
+The tables the routes read: the product route (``coeff_word``,
+``_goldberg_numerator``), the partition walk, ``q_set`` (which runs the walk)
+and ``bernoulli`` read the gamma rows in ``special``.  alg2, word by word
+(``coeff_alg2``) or over every word of a degree (``_alg2_words``), builds
+its own scaled columns and reads no table; neither do the series oracle,
+``witness_runs`` or ``extract_leading``.  The Stirling-basis and
+Eulerian-basis references in ``test_goldberg`` build their own rows, the
+Eulerian ones from ``special``'s row generator, which keeps nothing.
+``stirling2`` reads no row; Worpitzky's sum reads that generator's rows.
+
+The pairs, with their domains:
+
+* product route == alg2: random words up to degree 40;
+* product route == series oracle: random words up to degree 10;
+* product route == Stirling-basis reference: run lists up to degree 120;
+* product route == Eulerian-basis reference: up to degree 300, plus a block
+  of 301..360 in some examples;
+* walk leaf == product route: a random partition of n <= 36;
+* ``q_set`` == valuation filter over every partition's coefficient
+  (product route): n <= 24, p <= 29;
+* alg2 on a permutation of the runs == product route: degree <= 40;
+* product-route denominator divides ``n! * d_n``: degree <= 120;
+* Bernoulli route == product route on two-block words: degree <= 200,
+  and once at the shared guard;
+* B-first sign: alg2 on the B-first word == (-1)^(n+1) product route,
+  degree <= 40;
+* odd blocks at even degree: product route and alg2 both 0, degree <= 40;
+* ``stirling2`` == Worpitzky's sum: q <= 400;
+* ``_k_sum_weights`` == the alternating binomial k-sum: every n <= 30;
+* the alg2 walk == alg2 word by word: a random word of degree <= 12;
+* the witness word's coefficient (product route) attains
+  v_p(n!) + l(n, p): random n <= 300 and prime p < n;
+* ``extract_leading`` recombines to its input with a tail above depth e:
+  random rationals, p <= 47.
 """
 
 import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bchcoeff.analysis import q_set  # noqa: E402
+from bchcoeff.analysis import extract_leading, q_set  # noqa: E402
 from bchcoeff.denominators import capital_denominator, l_exponent, partitions  # noqa: E402
 from bchcoeff.exactmath import legendre_vp_factorial, primes_upto, vp  # noqa: E402
 from bchcoeff.goldberg import (  # noqa: E402
     COEFF_DEGREE_MAX,
     WordSpec,
+    _alg2_words,
     _goldberg_numerator,
     _k_sum_weights,
     coeff_alg2,
@@ -32,6 +64,7 @@ from bchcoeff.goldberg import (  # noqa: E402
     series_oracle,
 )
 from bchcoeff.special import _eulerian_rows, _worpitzky, stirling2  # noqa: E402
+from bchcoeff.witness import witness_runs  # noqa: E402
 from test_goldberg import (  # noqa: E402
     eulerian_numerator,
     gamma_to_eulerian,
@@ -182,3 +215,40 @@ def test_k_sum_closed_form():
                 x_poly = to_stirling_basis(gamma_to_eulerian([0] * j + [1], n - m), m, n)
                 direct = sum(map(operator.mul, x_poly, k_sums[(m - 1) // 2]))
                 assert Fraction(weights[j], math.factorial(n)) == direct, (n, m, j)
+
+
+@lru_cache(maxsize=None)
+def alg2_walk(n):
+    # one walk per degree for the module: 0.2-0.25 s for every n <= 12
+    return _alg2_words(n, capital_denominator(n))
+
+
+@PROFILE
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_alg2_walk_equals_alg2(word_bits):
+    n, bits = word_bits
+    letters = "".join("AB"[bits >> i & 1] for i in range(n))
+    assert alg2_walk(n)[letters] == coeff_alg2(WordSpec.from_letters(letters))
+
+
+@PROFILE
+@given(st.integers(3, 300).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(primes_upto(n - 1)))))
+def test_witness_attains_the_extreme_valuation(case):
+    n, p = case
+    w = witness_runs(n, p)
+    assert sum(w.runs) == n
+    target = legendre_vp_factorial(n, p) + l_exponent(n, p)
+    assert vp(coeff_word(w.word).denominator, p) == target
+
+
+@PROFILE
+@given(st.integers(-10**20, 10**20), st.integers(1, 10**20), st.integers(-8, 8),
+       st.sampled_from(primes_upto(47)))
+def test_extract_leading_recombines(num, den, shift, p):
+    x = Fraction(num, den) * Fraction(p) ** shift
+    e, a_hat, u_hat = extract_leading(x, p)
+    assert e == (max(0, -vp(x, p)) if x else 0)
+    assert 0 <= a_hat < p
+    assert (a_hat != 0) == (x != 0 and vp(x, p) <= 0)
+    assert Fraction(a_hat, p**e) + u_hat == x
+    assert u_hat == 0 or vp(u_hat, p) > -e
