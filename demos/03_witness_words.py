@@ -23,7 +23,7 @@ def main() -> None:
         res = witness_runs(n, p)
         target = legendre_vp_factorial(n, p) + l_exponent(n, p)
         c = coeff_word(res.word)
-        seen = -vp(c, p)
+        seen = vp(c.denominator, p)
         mark = "ok" if seen == target else "MISMATCH"
         print(f"{n:3d} {p:3d}  {res.branch.value:14}  {res.word.letters():20}  "
               f"{seen:10d}  {target:6d}  {mark}")

@@ -37,16 +37,15 @@ def show(n: int, p: int) -> None:
     print(f"  numerator     {len(str(abs(tilde.numerator)))} digits")
     print(f"  denominator   {len(str(tilde.denominator))} digits")
     print(f"  v_p check     denominator valuation {vp(tilde.denominator, p)}, "
-          f"target {target - leading_shift(n, p)}")
+          f"target {target - leading_shift(res.runs, p)}")
     print(f"  leading part  a = {lt.a_hat} / p^{lt.e}  (predicted a = {predicted})")
     print()
 
 
-def leading_shift(n: int, p: int) -> int:
+def leading_shift(runs: tuple[int, ...], p: int) -> int:
     # tilde(c) absorbs the run factorials, so its p-valuation target drops
     # by v_p of the product of run lengths' factorials
-    res = witness_runs(n, p)
-    return sum(legendre_vp_factorial(q, p) for q in res.runs)
+    return sum(legendre_vp_factorial(q, p) for q in runs)
 
 
 def main() -> None:

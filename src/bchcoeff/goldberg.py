@@ -85,13 +85,6 @@ class IntegerExactnessError(ArithmeticError):
     """An integer-only division left a remainder; the scaled table is unsound."""
 
 
-def _exact_div(a: int, b: int, what: str) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise IntegerExactnessError(f"{what}: {a} not divisible by {b}")
-    return q
-
-
 class WordSpec(namedtuple("WordSpec", "a_first runs")):
     """A word over {A, B}: the letter it starts with (a_first: bool), plus
     maximal run lengths (runs: tuple[int, ...]).
@@ -138,36 +131,30 @@ class WordSpec(namedtuple("WordSpec", "a_first runs")):
         return cls(text[0] == "A", tuple(len(list(g)) for _, g in groupby(text)))
 
 
-def _alg2_column(cols, fact, d, a_lead, r, q_next, blocks) -> list[int]:
+def _alg2_column(cols, fact, d, a_lead, r, q_next) -> list[int]:
     """Column n = len(cols) of the scaled table, from the columns 0..n-1 of
     the same word's shorter tails.
 
     The length-n tail starts with r copies of A (``a_lead``) or of B, then a
-    run of q_next of the other letter (0 if none); it has ``blocks`` runs in
-    all.  Entry k is d times the tail's coefficient in Y^k, Y = e^A e^B - 1.
-    Entry 1 is nonzero only on one run, or on A^r B^q_next; entry n is d.
-    Between them, entry k sums over the tail's first factor, a word of Y: a
-    power of the leading letter, or after an A-run the whole run then B^j.
-    Each term is the rest's entry k-1 over that word's factorials; one guarded
-    loop divides them all exactly, the same-block terms first.  The column
-    depends only on the tail, so words that share a tail share its columns.
+    run of q_next of the other letter (0 if none).  Entry k is d times the
+    tail's coefficient in Y^k, Y = e^A e^B - 1, so column 0, the empty tail,
+    is [d, 0, ..., 0], and entry n of every column is d.  Entry k >= 1 sums
+    over the tail's first factor, a word of Y: a power of the leading letter,
+    or after an A-run the whole run then B^j.  Each term is the rest's entry
+    k-1 over that word's factorials, the rest possibly the empty tail; one
+    guarded loop divides them all exactly, the same-block terms first.  The
+    column depends only on the tail, so words that share a tail share its
+    columns.
     """
     n = len(cols)
-    if blocks == 1:
-        seed = _exact_div(d, fact[n], "single-block seed")
-    elif a_lead and blocks == 2:
-        seed = _exact_div(d, fact[r] * fact[q_next], "two-block seed")
-    else:
-        seed = 0
     # every column spans the whole degree, so that entry k of a shorter
     # tail reads 0 past its length
     col = [0] * len(fact)
-    col[1] = seed
-    terms = [(cols[n - j], fact[j], "same-block step") for j in range(1, min(r, n - 1) + 1)]
-    if a_lead and blocks >= 2:
+    terms = [(cols[n - j], fact[j], "same-block step") for j in range(1, r + 1)]
+    if a_lead:
         terms += [(cols[n - r - j], fact[r] * fact[j], "block-boundary step")
-                  for j in range(1, min(q_next, n - r - 1) + 1)]
-    for k in range(1, n - 1):
+                  for j in range(1, q_next + 1)]
+    for k in range(n - 1):
         h = 0
         for c, f, step in terms:
             e = c[k]
@@ -186,7 +173,9 @@ def _log_coeff(col: list[int], d: int) -> Fraction:
     log(1 + Y) from its full-length column."""
     acc = 0
     for k in range(1, len(col)):
-        term = _exact_div(col[k], k, "alternating-sum term")
+        term, rem = divmod(col[k], k)
+        if rem:
+            raise IntegerExactnessError(f"alternating-sum term: {col[k]} not divisible by {k}")
         acc += term if k % 2 == 1 else -term
     return Fraction(acc, d)
 
@@ -196,7 +185,8 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
 
     Returns (table, d) with d = capital_denominator(degree) unless overridden.
     Entry table[k][n] equals d times the coefficient, in the k-th power of
-    e^A e^B - 1, of the length-n tail of the word; table[n][n] == d always.
+    e^A e^B - 1, of the length-n tail of the word; table[n][n] == d for every
+    n from 0, the empty tail included.
     """
     n_total = word.degree
     if n_total > ALG2_DEGREE_MAX:
@@ -205,13 +195,13 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     runs = word.runs
     m = len(runs)
     fact = [math.factorial(t) for t in range(n_total + 1)]
-    cols = [[0] * (n_total + 1)]
+    cols = [[d] + [0] * n_total]
     # letter of the block being consumed, scanning blocks from the tail
     a_current = word.a_first if m % 2 == 1 else not word.a_first
     for i in range(m - 1, -1, -1):
         q_next = runs[i + 1] if i + 1 < m else 0
         for r in range(1, runs[i] + 1):
-            cols.append(_alg2_column(cols, fact, d, a_current, r, q_next, m - i))
+            cols.append(_alg2_column(cols, fact, d, a_current, r, q_next))
         a_current = not a_current
     return list(map(list, zip(*cols))), d
 
@@ -239,21 +229,21 @@ def _alg2_words(n: int, d: int) -> dict[str, Fraction]:
     if not isinstance(n, int) or not 1 <= n <= SERIES_ORACLE_MAX:
         raise ValueError(f"alg2 walk guard: 1 <= degree <= {SERIES_ORACLE_MAX}, got {n}")
     fact = [math.factorial(t) for t in range(n + 1)]
-    cols = [[0] * (n + 1)]
+    cols = [[d] + [0] * n]
     out = {}
 
-    def walk(tail, a_lead, r, q_next, blocks):
-        cols.append(_alg2_column(cols, fact, d, a_lead, r, q_next, blocks))
+    def walk(tail, a_lead, r, q_next):
+        cols.append(_alg2_column(cols, fact, d, a_lead, r, q_next))
         if len(tail) == n:
             out[tail] = _log_coeff(cols[-1], d)
         else:
             lead, other = ("A", "B") if a_lead else ("B", "A")
-            walk(lead + tail, a_lead, r + 1, q_next, blocks)
-            walk(other + tail, not a_lead, 1, r, blocks + 1)
+            walk(lead + tail, a_lead, r + 1, q_next)
+            walk(other + tail, not a_lead, 1, r)
         cols.pop()
 
-    walk("A", True, 1, 0, 1)
-    walk("B", False, 1, 0, 1)
+    walk("A", True, 1, 0)
+    walk("B", False, 1, 0)
     return out
 
 

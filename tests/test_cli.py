@@ -3,10 +3,11 @@ import pathlib
 
 import pytest
 
-from bchcoeff import verify
+from bchcoeff import analysis, goldberg, special, verify
 from bchcoeff.analysis import QSET_DEGREE_MAX
 from bchcoeff.cli import DENOM_DEGREE_MAX, run
-from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX
+from bchcoeff.exactmath import _SPRP_LIMIT
+from bchcoeff.goldberg import ALG2_DEGREE_MAX, COEFF_DEGREE_MAX, SERIES_ORACLE_MAX
 
 # stdout, stderr and exit status of fast commands, captured once; any byte
 # of difference is a behaviour change
@@ -326,6 +327,44 @@ class TestTableCommand:
         out, _ = lines_of(capsys)
         assert "p=2 l=4 n=65535" in out
         assert "p=5 l=2 n=31249" in out
+
+
+# (argv, limit): arguments just past each guard of each subcommand
+GUARDED = [
+    *((["coeff", "--runs", f"{limit},1", "--method", method], limit)
+      for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX),
+                            ("bernoulli", COEFF_DEGREE_MAX), ("oracle", SERIES_ORACLE_MAX))),
+    (["witness", "--n", f"{COEFF_DEGREE_MAX + 1}", "--p", "2"], COEFF_DEGREE_MAX),
+    (["witness", "--n", "5", "--p", f"{_SPRP_LIMIT}"], _SPRP_LIMIT),
+    (["qset", "--n", f"{QSET_DEGREE_MAX + 1}", "--p", "2"], QSET_DEGREE_MAX),
+    (["qset", "--n", "5", "--p", f"{_SPRP_LIMIT}"], _SPRP_LIMIT),
+    (["lcm", "--n", f"{SERIES_ORACLE_MAX + 1}"], SERIES_ORACLE_MAX),
+    (["denom", "--n", f"{DENOM_DEGREE_MAX + 1}"], DENOM_DEGREE_MAX),
+    *((["verify", "--suite", name, "--max-n", f"{limit + 1}"], limit)
+      for name, (_, _, limit) in verify.SUITES.items() if limit is not None),
+]
+
+# the expensive inner steps, each patched in the module that looks it up
+INNER_STEPS = [(goldberg, "_poly_mul"), (goldberg, "_alg2_column"),
+               (goldberg, "_stirling_row"), (special, "_stirling_row"),
+               (analysis, "_partition_walk")]
+
+
+@pytest.mark.parametrize("argv,limit", [pytest.param(*case, id=" ".join(case[0]))
+                                        for case in GUARDED])
+def test_guard_rejects_before_any_work(argv, limit, capsys, monkeypatch):
+    # a guard checked after the work has begun would enter one of these
+    # steps, which raise here; so the check needs no timing
+    for module, name in INNER_STEPS:
+        def entered(*args, _name=name):
+            raise AssertionError(f"{_name} entered past a guard")
+        monkeypatch.setattr(module, name, entered)
+    goldberg.series_oracle.cache_clear()
+    assert run(argv) == 2
+    out, err = lines_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and f"{limit}, got " in err
+    assert goldberg.series_oracle.cache_info().currsize == 0
 
 
 class TestParser:

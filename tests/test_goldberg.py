@@ -644,6 +644,14 @@ class TestTableAudit:
             for k in range(1, n + 1):
                 assert table[k][n] == d * _power_coeff(tail, k)
 
+    @pytest.mark.parametrize("letters", ["A", "BA", "AABAB", "BBBAA"])
+    def test_empty_tail_and_diagonal(self, letters):
+        # column 0 is the empty tail, d times its coefficient in Y^0 = 1, and
+        # a tail of length n is d times its coefficient in Y^n, from n = 0 up
+        table, d = alg2_table(WordSpec.from_letters(letters))
+        assert [row[0] for row in table] == [d] + [0] * len(letters)
+        assert [table[n][n] for n in range(len(table))] == [d] * len(table)
+
     def test_log_assembly(self):
         # the alternating sum over k of table[k][n]/k reproduces the oracle
         for letters in ("AABAB", "ABBA"):
@@ -652,12 +660,15 @@ class TestTableAudit:
 
 
 class TestExactnessGuard:
-    def test_wrong_scale_trips_single_block_seed(self):
-        with pytest.raises(IntegerExactnessError):
+    # each word's first division by 2 is of column 0, the empty tail: entry 1
+    # of the tail AA (a same-block term) and of AAB (a block-boundary term)
+    def test_wrong_scale_trips_same_block_step(self):
+        with pytest.raises(IntegerExactnessError, match="^same-block step: 7 not divisible by 2$"):
             coeff_alg2(WordSpec(True, (3,)), common_denominator=7)
 
-    def test_wrong_scale_trips_two_block_seed(self):
-        with pytest.raises(IntegerExactnessError):
+    def test_wrong_scale_trips_block_boundary_step(self):
+        with pytest.raises(IntegerExactnessError,
+                           match="^block-boundary step: 7 not divisible by 2$"):
             coeff_alg2(WordSpec(True, (2, 1)), common_denominator=7)
 
     def test_error_is_arithmetic_error(self):
@@ -672,7 +683,8 @@ class TestExactnessGuard:
 @pytest.mark.parametrize("letters,step", [("BBA", "same-block step"),
                                           ("AABA", "block-boundary step")])
 def test_step_guards_name_the_step(letters, step):
-    # d = 1 clears the seeds of these words, and the first step divides by 2!
+    # at d = 1 the first term either word divides by 2! is entry 1 of the
+    # tail A, which is d
     with pytest.raises(IntegerExactnessError, match=f"^{step}: 1 not divisible by 2$"):
         coeff_alg2(WordSpec.from_letters(letters), common_denominator=1)
 
