@@ -143,8 +143,11 @@ def _alg2_column(cols, fact, d, a_lead, r, q_next) -> list[int]:
     or after an A-run the whole run then B^j.  Each term is the rest's entry
     k-1 over that word's factorials, the rest possibly the empty tail; one
     guarded loop divides them all exactly, the same-block terms first.  The
-    column depends only on the tail, so words that share a tail share its
-    columns.
+    terms come in order of descending rest length, n-1 down, and a rest of
+    length L is 0 past entry L, so entry k + 1 reads only the first n - k
+    terms: the loop drops the others from the end of the list as k grows.
+    The column depends only on the tail, so words that share a tail share
+    its columns.
     """
     n = len(cols)
     # every column spans the whole degree, so that entry k of a shorter
@@ -155,6 +158,7 @@ def _alg2_column(cols, fact, d, a_lead, r, q_next) -> list[int]:
         terms += [(cols[n - r - j], fact[r] * fact[j], "block-boundary step")
                   for j in range(1, q_next + 1)]
     for k in range(n - 1):
+        del terms[n - k:]
         h = 0
         for c, f, step in terms:
             e = c[k]
@@ -368,21 +372,22 @@ def _partition_walk(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, i
 
         sum(poly_B[i] * V[i]),  V[i] = sum(S[j] * G[i + j]),
 
-    with the weights G of its m blocks.  V depends only on (a, m), so the
-    walk builds each power of gamma_3 and each V once, and multiplies only by
-    the blocks q >= 4 along the tree.
+    with the weights G of its m blocks.  V depends only on (a, m), and one
+    more factor gamma_3 gives V_a[i] = V_(a-1)[i] + 2 V_(a-1)[i + 1] from
+    V_0 = G, so the walk builds each V once, from the one before, and
+    multiplies only by the blocks q >= 4 along the tree.
     """
-    weights = {}  # m -> G
-    powers = [[1]]  # a -> gamma_3^a
-    corr = {}  # (a, m) -> V
+    corr = {}  # (a, m) -> V; V is G itself at a = 0
 
     def correlated(a, m):
-        while len(powers) <= a:
-            powers.append(_poly_mul(powers[-1], _stirling_row(3)))
-        if m not in weights:
-            weights[m] = _k_sum_weights(n, m)
-        s, w = powers[a], weights[m]
-        return [sum(map(operator.mul, s, w[i:])) for i in range(len(w) + 1 - len(s))]
+        key = a, m
+        if key not in corr:
+            if a:
+                v = correlated(a - 1, m)
+                corr[key] = [x + 2 * y for x, y in zip(v, v[1:])]
+            else:
+                corr[key] = _k_sum_weights(n, m)
+        return corr[key]
 
     def walk(parts, poly, remaining):
         for q in range(min(remaining, parts[-1] if parts else n), 3, -1):
@@ -391,10 +396,8 @@ def _partition_walk(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, i
         for a in range(remaining // 3, -1, -1):
             for b in range((remaining - 3 * a) // 2, -1, -1):
                 r = remaining - 3 * a - 2 * b
-                key = a, len(parts) + a + b + r
-                if key not in corr:
-                    corr[key] = correlated(*key)
-                tails.append((a, b, r, sum(map(operator.mul, poly, corr[key]))))
+                v = correlated(a, len(parts) + a + b + r)
+                tails.append((a, b, r, sum(map(operator.mul, poly, v))))
         yield parts, tails
 
     yield from walk((), [1], n)

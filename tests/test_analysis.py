@@ -16,10 +16,11 @@ from bchcoeff.analysis import (
     q_set,
 )
 from bchcoeff.denominators import capital_denominator, l_exponent, partitions
-from bchcoeff.exactmath import PADIC_INFINITY, legendre_vp_factorial, vp
+from bchcoeff.exactmath import PADIC_INFINITY, digit_sum, legendre_vp_factorial, vp
 from bchcoeff.goldberg import SERIES_ORACLE_MAX
 from bchcoeff.goldberg import WordSpec, bernoulli_binomial_sum, coeff_alg2, coeff_tilde
 from bchcoeff.special import bernoulli
+from bchcoeff.witness import power_branch_runs
 
 
 class TestExtractLeading:
@@ -109,6 +110,28 @@ class TestExpectedA:
             expected_a(0, 3, 2)
         with pytest.raises(ValueError):
             expected_a(5, 4, 2)
+        with pytest.raises(ValueError, match="^m must be >= 2, got 1$"):
+            expected_a(5, 3, 1)
+
+    def test_power_m_plus_one_at_p_two(self):
+        # m = 2^l + 1 blocks is odd, so even n vanishes; odd n leads with
+        # residue 1 at depth 1, and at depth 2 the leading term sits at depth
+        # 1, above l, so the residue at depth 2 is 0
+        checked = 0
+        for n in range(1, 200):
+            for l in (1, 2):
+                m = 2**l + 1
+                if l > l_exponent(n, 2) or digit_sum(n, 2) == 2**l:
+                    continue
+                c = coeff_tilde(power_branch_runs(n, 2, l, m))
+                predicted = expected_a(n, 2, m)
+                if predicted is None:
+                    assert c == 0, (n, l)
+                else:
+                    lt = extract_leading(c, 2)
+                    assert lt.e <= l and (lt.a_hat if lt.e == l else 0) == predicted, (n, l)
+                checked += 1
+        assert checked == 215
 
     @pytest.mark.parametrize("m", [18, 19, 28])
     def test_rejects_near_a_multiple_of_a_power(self, m):
@@ -267,3 +290,6 @@ class TestBernoulliSums:
             bernoulli_binomial_sum(5, 5)
         with pytest.raises(ValueError):
             bernoulli_sum_residue(5, 2, 6)
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="1 <= k <= n-1"):
+                bernoulli_sum_residue(5, k, 2)

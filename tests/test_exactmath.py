@@ -184,6 +184,8 @@ class TestDigits:
         assert digit_sum(161, 3) == 9
         for n in range(200):
             assert digit_sum(n, 5) == sum(padic_digits(n, 5))
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            digit_sum(-1, 2)
 
 
 class TestLegendre:

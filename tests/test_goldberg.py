@@ -301,8 +301,10 @@ class TestPartitionWalk:
             assert num == _goldberg_numerator(parts), parts
 
     def test_walk_multiplies_only_the_big_parts(self, monkeypatch):
-        # one multiply per tree edge with a part >= 4 (478 at n = 27), and one
-        # per power of gamma_3 (9); a walk with one multiply per edge makes 3009
+        # one multiply per tree edge with a part >= 4 (478 at n = 27), and
+        # none for the powers of gamma_3, which enter each correlation vector
+        # by one step from the one before; a walk with one multiply per edge
+        # makes 3009
         calls = 0
         poly_mul = goldberg._poly_mul
 
@@ -313,7 +315,7 @@ class TestPartitionWalk:
 
         monkeypatch.setattr(goldberg, "_poly_mul", counting)
         assert sum(1 for _ in walk_leaves(27)) == 3010
-        assert calls == 487
+        assert calls == 478
         assert calls <= 600
 
     def test_walk_is_lazy(self):
@@ -681,10 +683,12 @@ class TestExactnessGuard:
 
 
 @pytest.mark.parametrize("letters,step", [("BBA", "same-block step"),
-                                          ("AABA", "block-boundary step")])
+                                          ("AABA", "block-boundary step"),
+                                          ("AB", "alternating-sum term")])
 def test_step_guards_name_the_step(letters, step):
-    # at d = 1 the first term either word divides by 2! is entry 1 of the
-    # tail A, which is d
+    # at d = 1 the first term either longer word divides by 2! is entry 1 of
+    # the tail A, which is d; AB's column is [0, 1, 1], and the alternating
+    # sum divides entry 2 by 2
     with pytest.raises(IntegerExactnessError, match=f"^{step}: 1 not divisible by 2$"):
         coeff_alg2(WordSpec.from_letters(letters), common_denominator=1)
 

@@ -29,6 +29,12 @@ def test_root_exports_are_the_modules_exports():
 
     modules = (analysis, denominators, exactmath, goldberg, special, witness)
     assert sorted(bchcoeff.__all__) == sorted(set().union(*(m.__all__ for m in modules)))
+    # the root joins the six lists and star-imports each module, so a name two
+    # modules export would appear twice here and silently shadow the other
+    assert len(bchcoeff.__all__) == len(set(bchcoeff.__all__))
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(bchcoeff, name) is getattr(m, name), (m.__name__, name)
 
 
 def test_import_starts_no_process_machinery():
