@@ -29,7 +29,8 @@ from .goldberg import (
     coeff_word,
 )
 from .refdata import DN_REFERENCE, MIN_DEGREE_REFERENCE
-from .verify import run_suite, suite_names, table1_computed, table2_rows
+from . import verify
+from .verify import run_suite, table1_computed, table2_rows
 from .witness import witness_runs
 
 __all__ = ["main", "run"]
@@ -75,30 +76,23 @@ def _cmd_coeff(args) -> int:
     if word.degree <= _METHOD_DEGREE_MAX[args.method]:
         print(f"computing the degree-{word.degree} coefficient ...", file=sys.stderr, flush=True)
     c = coeff_word(word, method=args.method)
-    label = f"runs={_runs_str(word.runs)} {'A' if word.a_first else 'B'}-first degree={word.degree}"
+    payload = {
+        "runs": list(word.runs),
+        "a_first": word.a_first,
+        "degree": word.degree,
+        "method": args.method,
+    }
+    text = (f"runs={_runs_str(word.runs)} {'A' if word.a_first else 'B'}-first "
+            f"degree={word.degree} method={args.method}\n")
     if args.digits_only:
         sign = "0" if c == 0 else ("-" if c < 0 else "+")
-        payload = {
-            "runs": list(word.runs),
-            "a_first": word.a_first,
-            "degree": word.degree,
-            "method": args.method,
-            "sign": sign,
-            "num_digits": len(str(abs(c.numerator))),
-            "den_digits": len(str(c.denominator)),
-        }
-        text = (f"{label} method={args.method}\n"
-                f"c: sign {sign}, {payload['num_digits']} numerator digits, "
-                f"{payload['den_digits']} denominator digits")
+        payload.update(sign=sign, num_digits=len(str(abs(c.numerator))),
+                       den_digits=len(str(c.denominator)))
+        text += (f"c: sign {sign}, {payload['num_digits']} numerator digits, "
+                 f"{payload['den_digits']} denominator digits")
     else:
-        payload = {
-            "runs": list(word.runs),
-            "a_first": word.a_first,
-            "degree": word.degree,
-            "method": args.method,
-            "coeff": str(c),
-        }
-        text = f"{label} method={args.method}\nc = {c}"
+        payload["coeff"] = str(c)
+        text += f"c = {c}"
     _emit(args, payload, text)
     return 0
 
@@ -158,7 +152,7 @@ def _cmd_verify(args) -> int:
     # checks nothing at this bound costs none of the others' output
     passed = total = 0
     empty = []
-    for name in suite_names() if args.suite == "all" else [args.suite]:
+    for name in verify.SUITES if args.suite == "all" else [args.suite]:
         records = run_suite(name, args.max_n)
         if not records:
             empty.append(name)
@@ -202,6 +196,12 @@ def _cmd_lcm(args) -> int:
     return 0 if ok else 1
 
 
+def _row_head(row) -> tuple[dict, str]:
+    """The payload fields and the text that every t1 and t2 row starts with."""
+    payload = {"n": row.n, "p": row.p, "l": row.l, "m": row.m, "runs": list(row.runs)}
+    return payload, f"n={row.n} p={row.p} l={row.l} m={row.m} runs={_runs_str(row.runs)}"
+
+
 def _cmd_table(args) -> int:
     if args.name == "dn":
         for n, value in enumerate(DN_REFERENCE, start=1):
@@ -209,32 +209,20 @@ def _cmd_table(args) -> int:
         return 0
     if args.name == "t1":
         for row, c, e, a_hat in table1_computed():
-            payload = {
-                "n": row.n, "p": row.p, "l": row.l, "m": row.m,
-                "runs": list(row.runs), "coeff": str(c),
-                "e": e, "a": a_hat,
-            }
-            text = (f"n={row.n} p={row.p} l={row.l} m={row.m} "
-                    f"runs={_runs_str(row.runs)} c={c} e={e} a={a_hat}")
-            _emit(args, payload, text)
+            payload, text = _row_head(row)
+            payload.update(coeff=str(c), e=e, a=a_hat)
+            _emit(args, payload, f"{text} c={c} e={e} a={a_hat}")
         return 0
     if args.name == "t2":
         for row, c, e, a_hat in table2_rows():
-            payload = {
-                "n": row.n, "p": row.p, "l": row.l, "m": row.m,
-                "runs": list(row.runs),
-                "num_digits": len(str(abs(c.numerator))),
-                "den_digits": len(str(c.denominator)),
-                "e": e, "a": a_hat,
-            }
-            base = (f"n={row.n} p={row.p} l={row.l} m={row.m} "
-                    f"runs={_runs_str(row.runs)} "
-                    f"digits={payload['num_digits']}/{payload['den_digits']} "
-                    f"e={e} a={a_hat}")
+            payload, text = _row_head(row)
+            payload.update(num_digits=len(str(abs(c.numerator))),
+                           den_digits=len(str(c.denominator)), e=e, a=a_hat)
+            text += f" digits={payload['num_digits']}/{payload['den_digits']} e={e} a={a_hat}"
             if not args.digits_only:
                 payload["coeff"] = str(c)
-                base += f"\n  c = {c}"
-            _emit(args, payload, base)
+                text += f"\n  c = {c}"
+            _emit(args, payload, text)
         return 0
     # mindegree
     for p, l in sorted(MIN_DEGREE_REFERENCE):
@@ -281,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify", parents=[shared], help="run a named check suite")
-    p.add_argument("--suite", required=True, choices=[*suite_names(), "all"])
+    p.add_argument("--suite", required=True, choices=[*verify.SUITES, "all"])
     p.add_argument("--max-n", type=int, default=None,
                    help="override the suite's default bound (a guard caps each sweep)")
     p.set_defaults(func=_cmd_verify)

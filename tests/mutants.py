@@ -107,6 +107,15 @@ MUTANTS = (
            "m % (p * p) == 0",
            "m % p == 0",
            ["tests/test_verify.py::TestBernoulliSquarefree::test_square_prime_factors"]),
+    # verify: a suite that drops a record, and a label naming a range it did not check
+    Mutant("table2-drops-valuation-record", "verify.py",
+           "        yield _eq(\"large-degree-valuation\", inputs,",
+           "        _eq(\"large-degree-valuation\", inputs,",
+           ["tests/test_acceptance.py::test_c3_large_degree_rows"]),
+    Mutant("stirling-two-routes-fixed-label", "verify.py",
+           "yield _ok(\"stirling-two-routes\", f\"q<={near}\",",
+           "yield _ok(\"stirling-two-routes\", f\"q<=40\",",
+           ["tests/test_cli.py::test_golden_output[verify --suite stirling --max-n 2]"]),
     # cli: coeff announces alg2 work only below alg2's own guard
     Mutant("cli-alg2-announce-limit", "cli.py",
            "    \"alg2\": ALG2_DEGREE_MAX,",

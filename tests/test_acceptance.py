@@ -7,6 +7,7 @@ run computes them once.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,34 @@ from bchcoeff.verify import run_suite, table1_computed, table2_computed
 
 
 def _suites_pass(names, max_n=None):
+    """All records of the named suites, and the lines of what fails: each
+    failing record, and each suite that returned no records."""
     records = []
+    failing = []
     for name in names:
-        records.extend(run_suite(name, max_n))
-    failing = [r for r in records if not r.passed]
+        found = run_suite(name, max_n)
+        if not found:
+            failing.append(f"suite {name} returned no records")
+        records.extend(found)
+    failing += [r.line() for r in records if not r.passed]
     return records, failing
+
+
+def _claims(records):
+    """How many records each claim has; a record lost from a suite shows."""
+    return Counter(r.claim for r in records)
+
+
+# one record per claim and reference row
+TABLE1_CLAIMS = dict.fromkeys([
+    "reference-coefficient", "reference-leading-part", "reference-l",
+    "reference-construction", "reference-cross-route", "reference-predicted-residue",
+], 7)
+TABLE2_CLAIMS = dict.fromkeys([
+    "large-degree-construction", "large-degree-digit-counts", "large-degree-leading-part",
+    "large-degree-valuation", "large-degree-predicted-residue", "large-degree-cross-route",
+], 3)
+QSET_CLAIMS = {"extreme-partition-set": 14}
 
 
 def test_c1_denominator_list():
@@ -42,10 +66,11 @@ def test_c2_reference_coefficients():
     start = time.monotonic()
     records, failing = _suites_pass(["table1"])
     elapsed = time.monotonic() - start
-    ok = not failing and elapsed < 10.0
+    ok = not failing and _claims(records) == TABLE1_CLAIMS and elapsed < 10.0
     record("C2", "all seven worked p=7 coefficients reproduce exactly in under 10s",
            ok, elapsed)
-    assert not failing, [r.line() for r in failing]
+    assert not failing, failing
+    assert _claims(records) == TABLE1_CLAIMS
     assert elapsed < 10.0
 
 
@@ -53,9 +78,11 @@ def test_c3_large_degree_rows():
     start = time.monotonic()
     records, failing = _suites_pass(["table2"])
     elapsed = time.monotonic() - start
+    ok = not failing and _claims(records) == TABLE2_CLAIMS
     record("C3", "large-degree rows (161, 242, 255) match digit counts and "
-                 f"leading parts, target 300s", not failing, elapsed)
-    assert not failing, [r.line() for r in failing]
+                 f"leading parts, target 300s", ok, elapsed)
+    assert not failing, failing
+    assert _claims(records) == TABLE2_CLAIMS
 
 
 def test_c4_brute_force_lcm():
@@ -65,7 +92,7 @@ def test_c4_brute_force_lcm():
     ok = not failing and elapsed < 120.0
     record("C4", "brute-force lcm over all words equals n! * d_n for n = 1..12 "
                  "in under 120s", ok, elapsed)
-    assert not failing, [r.line() for r in failing]
+    assert not failing, failing
     assert elapsed < 120.0
 
 
@@ -75,7 +102,7 @@ def test_c5_route_agreement():
     elapsed = time.monotonic() - start
     record("C5", "all computation routes agree (every word to degree 10, "
                  "two-block words to degree 20)", not failing, elapsed)
-    assert not failing, [r.line() for r in failing]
+    assert not failing, failing
 
 
 def test_c6_witness_sweep():
@@ -85,7 +112,7 @@ def test_c6_witness_sweep():
     ok = not failing and elapsed < 120.0
     record("C6", "constructed words attain v_p(n!) + l(n,p) for all "
                  "2 <= n <= 40, p < n, in under 120s", ok, elapsed)
-    assert not failing, [r.line() for r in failing]
+    assert not failing, failing
     assert elapsed < 120.0
 
 
@@ -93,10 +120,11 @@ def test_c7_extreme_partition_scans():
     start = time.monotonic()
     records, failing = _suites_pass(["qset"])
     elapsed = time.monotonic() - start
-    ok = not failing and elapsed < 300.0
+    ok = not failing and _claims(records) == QSET_CLAIMS and elapsed < 300.0
     record("C7", "exhaustive partition scans reproduce the recorded extreme "
                  "sets (p = 2 through degree 39, and p = 3, 5, 7) in under 300s", ok, elapsed)
-    assert not failing, [r.line() for r in failing]
+    assert not failing, failing
+    assert _claims(records) == QSET_CLAIMS
     assert elapsed < 300.0
 
 
@@ -151,4 +179,4 @@ def test_c10_congruence_bundle():
     record("C10", "congruence bundle (Stirling, Bernoulli p-parts, leading "
                   "residues, binomial cuts, smallest degrees) all verified",
            not failing, elapsed)
-    assert not failing, [r.line() for r in failing]
+    assert not failing, failing
