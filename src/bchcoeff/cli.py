@@ -70,6 +70,8 @@ def _cmd_coeff(args) -> int:
     if (args.word is None) == (args.runs is None):
         raise ValueError("give exactly one of --word or --runs")
     if args.word is not None:
+        if args.b_first:
+            raise ValueError("--b-first goes only with --runs; a --word gives its first letter")
         word = WordSpec.from_letters(args.word)
     else:
         word = WordSpec(not args.b_first, _parse_runs(args.runs))
@@ -185,6 +187,8 @@ def _cmd_qset(args) -> int:
 
 
 def _cmd_lcm(args) -> int:
+    if not 1 <= args.n <= SERIES_ORACLE_MAX:
+        raise ValueError(f"lcm guard: 1 <= --n <= {SERIES_ORACLE_MAX}, got {args.n}")
     brute = brute_lcm_degree(args.n)
     formula = capital_denominator(args.n)
     ok = brute == formula

@@ -456,7 +456,8 @@ def table1_computed():
 def table2_computed():
     """The three large-degree rows, recomputed: (row, coeff, e, a_hat).
 
-    About ten seconds of big-integer work on one core.
+    About 7-8 s of big-integer work on one core, nearly all of it alg2 on
+    the degree-242 and degree-255 rows.
     """
     return tuple(map(_reference_row, TABLE2))
 
@@ -559,6 +560,8 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckRecord]:
     except KeyError:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"suite {name} guard: --max-n >= 1, got {max_n}")
     if default is None:
         return list(func())
     bound = default if max_n is None else max_n

@@ -42,16 +42,17 @@ TIMEOUT_S = 300
 MUTANTS = (
     # goldberg: the alg2 step, its alternating sum, and the partition walk
     Mutant("alg2-same-block-range", "goldberg.py",
-           "fact[j], \"same-block step\") for j in range(1, r + 1)]",
-           "fact[j], \"same-block step\") for j in range(1, r)]",
+           "fact[i], \"same-block step\") for i in range(1, a_run + 1)]",
+           "fact[i], \"same-block step\") for i in range(1, a_run)]",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
     Mutant("alg2-boundary-range", "goldberg.py",
-           "for j in range(1, q_next + 1)]",
-           "for j in range(1, q_next)]",
+           "for j in range(1, b_run + 1)]",
+           "for j in range(1, b_run)]",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
-    Mutant("alg2-boundary-terms-for-a-b-lead", "goldberg.py",
-           "    if a_lead:\n        terms +=",
-           "    if True:\n        terms +=",
+    # on a B-led tail the prefix B^i A^j is not a factor of Y
+    Mutant("alg2-b-led-tail-admits-b-then-a", "goldberg.py",
+           "rest.lstrip(\"B\")",
+           "rest.lstrip(\"B\" if a_run else \"AB\")",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
     Mutant("alg2-scan-one-term-short", "goldberg.py",
            "del terms[n - k:]",
@@ -116,6 +117,19 @@ MUTANTS = (
            "yield _ok(\"stirling-two-routes\", f\"q<={near}\",",
            "yield _ok(\"stirling-two-routes\", f\"q<=40\",",
            ["tests/test_cli.py::test_golden_output[verify --suite stirling --max-n 2]"]),
+    # verify and cli: the lower side of --max-n, and options refused rather than ignored
+    Mutant("verify-max-n-below-one-runs", "verify.py",
+           "    if max_n is not None and max_n < 1:",
+           "    if False:",
+           ["tests/test_verify.py::TestGuards::test_below_one_raises_at_once"]),
+    Mutant("cli-word-ignores-b-first", "cli.py",
+           "        if args.b_first:\n",
+           "        if False:\n",
+           ["tests/test_cli.py::TestCoeff::test_word_with_b_first"]),
+    Mutant("cli-lcm-lower-guard-dropped", "cli.py",
+           "    if not 1 <= args.n <= SERIES_ORACLE_MAX:",
+           "    if not args.n <= SERIES_ORACLE_MAX:",
+           ["tests/test_cli.py::TestLcmCommand::test_guard_names_n_below_one"]),
     # cli: coeff announces alg2 work only below alg2's own guard
     Mutant("cli-alg2-announce-limit", "cli.py",
            "    \"alg2\": ALG2_DEGREE_MAX,",

@@ -79,6 +79,13 @@ class TestCoeff:
     def test_bad_word(self, capsys):
         assert run(["coeff", "--word", "ABC"]) == 2
 
+    def test_word_with_b_first(self, capsys):
+        # the word's own first letter decides; the flag is refused, not ignored
+        assert run(["coeff", "--word", "AB", "--b-first"]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err.startswith("error:") and "--b-first" in err and "--runs" in err
+
     def test_degree_guards(self, capsys):
         for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX),
                               ("bernoulli", COEFF_DEGREE_MAX)):
@@ -183,7 +190,7 @@ class TestVerifyCommand:
         for line in out.splitlines():
             assert json.loads(line)["pass"] is True
 
-    @pytest.mark.parametrize("max_n", ["0", "1"])
+    @pytest.mark.parametrize("max_n", ["1"])
     def test_no_checks_is_an_error(self, capsys, max_n):
         assert run(["verify", "--suite", "witness", "--max-n", max_n]) == 2
         out, err = lines_of(capsys)
@@ -281,6 +288,13 @@ class TestLcmCommand:
         assert out == ""
         assert err.startswith("error:") and "<= 16, got 17" in err
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_guard_names_n_below_one(self, capsys, n):
+        assert run(["lcm", "--n", n]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err == f"error: lcm guard: 1 <= --n <= 16, got {n}\n"
+
 
 class TestTableCommand:
     def test_dn_matches_data_file(self, capsys, data_dir):
@@ -342,6 +356,10 @@ GUARDED = [
     (["denom", "--n", f"{DENOM_DEGREE_MAX + 1}"], DENOM_DEGREE_MAX),
     *((["verify", "--suite", name, "--max-n", f"{limit + 1}"], limit)
       for name, (_, _, limit) in verify.SUITES.items() if limit is not None),
+    # the lower side: --max-n >= 1 for every suite, 1 <= --n for lcm
+    *((["verify", "--suite", name, "--max-n", bound], 1)
+      for name, bound in (("dn-list", "0"), ("all", "0"), ("stirling", "-5"), ("witness", "0"))),
+    (["lcm", "--n", "0"], SERIES_ORACLE_MAX),
 ]
 
 # the expensive inner steps, each patched in the module that looks it up

@@ -635,7 +635,10 @@ def _power_coeff(word: str, k: int) -> Fraction:
 
 
 class TestTableAudit:
-    @pytest.mark.parametrize("letters", ["AABAB", "AABB", "BABA", "ABBBA", "AAABB"])
+    # every word of degree 1..5, so every tail shape up to length 5 meets the
+    # column step: A- and B-led, with and without a B-run after the A-run
+    @pytest.mark.parametrize("letters", ["".join(w) for n in range(1, 6)
+                                         for w in itertools.product("AB", repeat=n)])
     def test_table_matches_independent_convolution(self, letters):
         word = WordSpec.from_letters(letters)
         n_total = word.degree

@@ -136,6 +136,14 @@ class TestGuards:
             run_suite(name, limit + 1)
         assert time.monotonic() - start < 0.5
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_below_one_raises_at_once(self, name, monkeypatch):
+        # every suite, a fixed grid too; with the suite's function taken away,
+        # only a refusal before any work passes
+        monkeypatch.setitem(SUITES, name, (None, *SUITES[name][1:]))
+        with pytest.raises(ValueError, match=f"^suite {name} guard: --max-n >= 1, got 0$"):
+            run_suite(name, 0)
+
     @pytest.mark.parametrize("name", sorted(set(SUITES) - {"table2", "qset"}))
     def test_smoke_bound_checks_something(self, name):
         # a fixed grid ignores the bound; a sweep at 8 still has records
