@@ -207,6 +207,8 @@ def _row_head(row) -> tuple[dict, str]:
 
 
 def _cmd_table(args) -> int:
+    if args.digits_only and args.name != "t2":
+        raise ValueError("--digits-only goes only with --name t2")
     if args.name == "dn":
         for n, value in enumerate(DN_REFERENCE, start=1):
             _emit(args, {"n": n, "d_n": value}, f"{n} {value}")

@@ -132,29 +132,27 @@ class WordSpec(namedtuple("WordSpec", "a_first runs")):
 
 
 def _alg2_column(cols, fact, d, tail: str) -> list[int]:
-    """Column n = len(tail) of the scaled table, from the columns 0..n-1 of
-    the tail's own shorter tails.
+    """Column n = len(tail) of the scaled table, entries k = 0..n, from
+    cols[L], the column of the tail's own length-L tail, for L < n.
 
     Entry k is d times the tail's coefficient in Y^k, where
     Y = e^A e^B - 1 = sum(A^i B^j / (i! j!)), so column 0, the empty tail,
-    is [d, 0, ..., 0], and entry n of every column is d.  Entry k >= 1 sums
-    over the tail's first factor, a nonempty prefix A^i B^j of the tail:
-    A^i for i = 1..a_run, the leading A-run, then A^a_run B^j for
-    j = 1..b_run, the B-run after it.  Each term is the rest's entry k-1 over
-    i! j!, the rest possibly the empty tail; one guarded loop divides them
-    all exactly.  The terms come in order of descending rest length, n-1
-    down, and a rest of length L is 0 past entry L, so entry k + 1 reads only
-    the first n - k terms: the loop drops the others from the end of the
-    list as k grows.  The column depends only on the tail, so words that
-    share a tail share its columns.
+    is [d], and entry n of every column is d.  Entry k >= 1 sums over the
+    tail's first factor, a nonempty prefix A^i B^j of the tail: A^i for
+    i = 1..a_run, the leading A-run, then A^a_run B^j for j = 1..b_run, the
+    B-run after it.  Each term is the rest's entry k-1 over i! j!, the rest
+    possibly the empty tail; one guarded loop divides them all exactly.  The
+    terms come in order of descending rest length, n-1 down, and the column
+    of a rest of length L ends at entry L, so entry k + 1 reads only the
+    first n - k terms: the loop drops the others from the end of the list as
+    k grows.  The column depends only on the tail, so words that share a
+    tail share its columns.
     """
     n = len(tail)
     rest = tail.lstrip("A")
     a_run = n - len(rest)
     b_run = len(rest) - len(rest.lstrip("B"))
-    # every column spans the whole degree, so that entry k of a shorter
-    # tail reads 0 past its length
-    col = [0] * len(fact)
+    col = [0] * (n + 1)
     terms = [(cols[n - i], fact[i], "same-block step") for i in range(1, a_run + 1)]
     terms += [(cols[n - a_run - j], fact[a_run] * fact[j],
                "block-boundary step" if a_run else "same-block step")
@@ -189,10 +187,11 @@ def _log_coeff(col: list[int], d: int) -> Fraction:
 def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     """The full scaled table behind ``coeff_alg2``, for auditing.
 
-    Returns (table, d) with d = capital_denominator(degree) unless overridden.
-    Entry table[k][n] equals d times the coefficient, in the k-th power of
-    e^A e^B - 1, of the length-n tail of the word; table[n][n] == d for every
-    n from 0, the empty tail included.
+    Returns (cols, d) with d = capital_denominator(degree) unless overridden.
+    cols[n] is the column of the word's length-n tail, entries k = 0..n:
+    cols[n][k] equals d times the tail's coefficient in the k-th power of
+    e^A e^B - 1, so the table is a triangle, cols[0] == [d] is the empty tail
+    and cols[n][n] == d for every n.
     """
     n_total = word.degree
     if n_total > ALG2_DEGREE_MAX:
@@ -200,10 +199,10 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     d = capital_denominator(n_total) if common_denominator is None else common_denominator
     letters = word.letters()
     fact = [math.factorial(t) for t in range(n_total + 1)]
-    cols = [[d] + [0] * n_total]
+    cols = [[d]]
     for i in range(n_total - 1, -1, -1):
         cols.append(_alg2_column(cols, fact, d, letters[i:]))
-    return list(map(list, zip(*cols))), d
+    return cols, d
 
 
 def coeff_alg2(word: WordSpec, *, common_denominator: int | None = None) -> Fraction:
@@ -211,12 +210,11 @@ def coeff_alg2(word: WordSpec, *, common_denominator: int | None = None) -> Frac
 
     ``common_denominator`` replaces the scale d = n! * d_n: a multiple of it
     gives the same value, anything else trips the exactness guard, which is
-    what the tests use it for.  The ``two-block`` suite and the benchmark's
-    replay pass n! * d_n itself, which saves nothing measurable.
+    what the tests use it for.  The benchmark's replay passes n! * d_n
+    itself, which saves nothing measurable.
     """
-    table, d = alg2_table(word, common_denominator=common_denominator)
-    n = word.degree
-    return _log_coeff([row[n] for row in table], d)
+    cols, d = alg2_table(word, common_denominator=common_denominator)
+    return _log_coeff(cols[-1], d)
 
 
 def _alg2_words(n: int, d: int) -> dict[str, Fraction]:
@@ -231,7 +229,7 @@ def _alg2_words(n: int, d: int) -> dict[str, Fraction]:
     if not isinstance(n, int) or not 1 <= n <= SERIES_ORACLE_MAX:
         raise ValueError(f"alg2 walk guard: 1 <= degree <= {SERIES_ORACLE_MAX}, got {n}")
     fact = [math.factorial(t) for t in range(n + 1)]
-    cols = [[d] + [0] * n]
+    cols = [[d]]
     out = {}
 
     def walk(tail):

@@ -58,9 +58,15 @@ MUTANTS = (
            "del terms[n - k:]",
            "del terms[n - k - 1:]",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
+    # each column ends at its own length, so one term too many reads past a
+    # rest's column and raises
+    Mutant("alg2-scan-one-term-long", "goldberg.py",
+           "del terms[n - k:]",
+           "del terms[n - k + 1:]",
+           ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
     Mutant("alg2-empty-tail-without-d", "goldberg.py",
-           "    cols = [[d] + [0] * n_total]",
-           "    cols = [[0] + [0] * n_total]",
+           "    cols = [[d]]\n    for i in range(n_total - 1, -1, -1):",
+           "    cols = [[0]]\n    for i in range(n_total - 1, -1, -1):",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
     Mutant("alg2-sum-without-remainder-check", "goldberg.py",
            "        if rem:\n            raise IntegerExactnessError(f\"alternating-sum term",
@@ -130,6 +136,11 @@ MUTANTS = (
            "    if not 1 <= args.n <= SERIES_ORACLE_MAX:",
            "    if not args.n <= SERIES_ORACLE_MAX:",
            ["tests/test_cli.py::TestLcmCommand::test_guard_names_n_below_one"]),
+    Mutant("cli-table-ignores-digits-only", "cli.py",
+           "    if args.digits_only and args.name != \"t2\":\n",
+           "    if False:\n",
+           ["tests/test_cli.py::TestTableCommand::test_digits_only_goes_only_with_t2",
+            "tests/test_cli.py::test_guard_rejects_before_any_work[table --name t1 --digits-only]"]),
     # cli: coeff announces alg2 work only below alg2's own guard
     Mutant("cli-alg2-announce-limit", "cli.py",
            "    \"alg2\": ALG2_DEGREE_MAX,",

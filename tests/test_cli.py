@@ -342,8 +342,16 @@ class TestTableCommand:
         assert "p=2 l=4 n=65535" in out
         assert "p=5 l=2 n=31249" in out
 
+    @pytest.mark.parametrize("name", ["t1", "dn", "mindegree"])
+    def test_digits_only_goes_only_with_t2(self, name, capsys):
+        assert run(["table", "--name", name, "--digits-only"]) == 2
+        out, err = lines_of(capsys)
+        assert out == ""
+        assert err == "error: --digits-only goes only with --name t2\n"
 
-# (argv, limit): arguments just past each guard of each subcommand
+
+# (argv, limit): arguments just past each guard of each subcommand; the error
+# names the limit, or, for a refused combination of options, carries the text
 GUARDED = [
     *((["coeff", "--runs", f"{limit},1", "--method", method], limit)
       for method, limit in (("goldberg", COEFF_DEGREE_MAX), ("alg2", ALG2_DEGREE_MAX),
@@ -360,12 +368,14 @@ GUARDED = [
     *((["verify", "--suite", name, "--max-n", bound], 1)
       for name, bound in (("dn-list", "0"), ("all", "0"), ("stirling", "-5"), ("witness", "0"))),
     (["lcm", "--n", "0"], SERIES_ORACLE_MAX),
+    # an option the table does not read is refused before the rows are computed
+    (["table", "--name", "t1", "--digits-only"], "--digits-only goes only with --name t2"),
 ]
 
 # the expensive inner steps, each patched in the module that looks it up
 INNER_STEPS = [(goldberg, "_poly_mul"), (goldberg, "_alg2_column"),
                (goldberg, "_stirling_row"), (special, "_stirling_row"),
-               (analysis, "_partition_walk")]
+               (analysis, "_partition_walk"), (verify, "_reference_row")]
 
 
 @pytest.mark.parametrize("argv,limit", [pytest.param(*case, id=" ".join(case[0]))
@@ -381,7 +391,8 @@ def test_guard_rejects_before_any_work(argv, limit, capsys, monkeypatch):
     assert run(argv) == 2
     out, err = lines_of(capsys)
     assert out == ""
-    assert err.startswith("error:") and f"{limit}, got " in err
+    expected = limit if isinstance(limit, str) else f"{limit}, got "
+    assert err.startswith("error:") and expected in err
     assert goldberg.series_oracle.cache_info().currsize == 0
 
 

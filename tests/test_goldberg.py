@@ -642,23 +642,26 @@ class TestTableAudit:
     def test_table_matches_independent_convolution(self, letters):
         word = WordSpec.from_letters(letters)
         n_total = word.degree
-        table, d = alg2_table(word)
+        cols, d = alg2_table(word)
         assert d == capital_denominator(n_total)
         for n in range(1, n_total + 1):
             tail = letters[n_total - n:]
             for k in range(1, n + 1):
-                assert table[k][n] == d * _power_coeff(tail, k)
+                assert cols[n][k] == d * _power_coeff(tail, k)
 
     @pytest.mark.parametrize("letters", ["A", "BA", "AABAB", "BBBAA"])
     def test_empty_tail_and_diagonal(self, letters):
-        # column 0 is the empty tail, d times its coefficient in Y^0 = 1, and
-        # a tail of length n is d times its coefficient in Y^n, from n = 0 up
-        table, d = alg2_table(WordSpec.from_letters(letters))
-        assert [row[0] for row in table] == [d] + [0] * len(letters)
-        assert [table[n][n] for n in range(len(table))] == [d] * len(table)
+        # column 0 is the empty tail, d times its coefficient in Y^0 = 1; the
+        # column of a length-n tail ends at entry n, d times its coefficient
+        # in Y^n, from n = 0 up
+        cols, d = alg2_table(WordSpec.from_letters(letters))
+        n = len(letters)
+        assert cols[0] == [d]
+        assert [len(c) for c in cols] == list(range(1, n + 2))
+        assert [cols[m][m] for m in range(n + 1)] == [d] * (n + 1)
 
     def test_log_assembly(self):
-        # the alternating sum over k of table[k][n]/k reproduces the oracle
+        # the alternating sum over k of cols[n][k]/k reproduces the oracle
         for letters in ("AABAB", "ABBA"):
             word = WordSpec.from_letters(letters)
             assert coeff_alg2(word) == series_oracle(word.degree)[letters]
