@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .denominators import l_exponent
 from .exactmath import (
+    _integer,
     digit_sum,
     legendre_vp_factorial,
     mod_inverse,
@@ -207,7 +208,7 @@ def lemma3_sides(j, p: int, l: int):
     require_prime(p)
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    tup = tuple(int(x) for x in j)
+    tup = tuple(_integer(x, "each entry") for x in j)
     m = len(tup)
     if m not in (p**l, p**l + 1):
         raise ValueError(f"tuple length must be {p ** l} or {p ** l + 1}, got {m}")

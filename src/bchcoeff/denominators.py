@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from typing import Iterator
 
-from .exactmath import digit_sum, primes_upto, require_prime
+from .exactmath import _integer, digit_sum, primes_upto, require_prime
 
 __all__ = [
     "DenominatorRecord",
@@ -146,6 +146,7 @@ def min_degree_with_l(p: int, l: int) -> int:
     are one 1 on top of x (p-1)s, hitting digit sum p**l as early as possible.
     """
     require_prime(p)
+    l = _integer(l, "l")
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
     x = (p**l - 1) // (p - 1)

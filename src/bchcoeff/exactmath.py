@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -102,6 +103,14 @@ def require_prime(p: int) -> None:
         raise ValueError(f"expected a prime, got {p!r}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a float is not truncated and a string is not parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _vp_int(n: int, p: int) -> int:
     # caller guarantees n != 0 and p prime
     v = 0
@@ -131,6 +140,7 @@ def padic_digits(n: int, p: int) -> tuple[int, ...]:
     Empty for zero; the top digit of a nonzero n is nonzero.
     """
     require_prime(p)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     digits = []
@@ -143,6 +153,7 @@ def padic_digits(n: int, p: int) -> tuple[int, ...]:
 def digit_sum(n: int, p: int) -> int:
     """s_p(n), the sum of the base-p digits of n."""
     require_prime(p)
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     s = 0
@@ -166,6 +177,7 @@ def lucas_binomial_mod(n: int, k: int, p: int) -> int:
     Zero as soon as some digit of k exceeds the matching digit of n.
     """
     require_prime(p)
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     r = 1

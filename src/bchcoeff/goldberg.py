@@ -26,7 +26,9 @@ Routes, from fastest to most naive:
   each partition's numerator over n! q_1! ... q_m! unreduced, so that no
   ``Fraction`` is built per partition.
 * ``coeff_alg2`` -- the paper's scaled integer recurrences over a triangular
-  table, O(n^3) big-integer work, kept as the independent cross-check.  All
+  table, O(n^3) big-integer work, kept as the independent cross-check: each
+  tail's column is the sum of its rests' columns, one per first factor
+  A^i B^j, shifted by one power of Y and divided by i! j!.  All
   intermediate values are integers by construction; every division is checked
   and a remainder raises ``IntegerExactnessError``, since a single remainder
   would falsify the scaling claim the whole route rests on.  The verify
@@ -131,22 +133,21 @@ class WordSpec(namedtuple("WordSpec", "a_first runs")):
         return cls(text[0] == "A", tuple(len(list(g)) for _, g in groupby(text)))
 
 
-def _alg2_column(cols, fact, d, tail: str) -> list[int]:
+def _alg2_column(cols, fact, tail: str) -> list[int]:
     """Column n = len(tail) of the scaled table, entries k = 0..n, from
     cols[L], the column of the tail's own length-L tail, for L < n.
 
     Entry k is d times the tail's coefficient in Y^k, where
     Y = e^A e^B - 1 = sum(A^i B^j / (i! j!)), so column 0, the empty tail,
-    is [d], and entry n of every column is d.  Entry k >= 1 sums over the
-    tail's first factor, a nonempty prefix A^i B^j of the tail: A^i for
-    i = 1..a_run, the leading A-run, then A^a_run B^j for j = 1..b_run, the
-    B-run after it.  Each term is the rest's entry k-1 over i! j!, the rest
-    possibly the empty tail; one guarded loop divides them all exactly.  The
-    terms come in order of descending rest length, n-1 down, and the column
-    of a rest of length L ends at entry L, so entry k + 1 reads only the
-    first n - k terms: the loop drops the others from the end of the list as
-    k grows.  The column depends only on the tail, so words that share a
-    tail share its columns.
+    is [d], the only place the scale d enters.  The tail's first factor is a
+    nonempty prefix A^i B^j: A^i for i = 1..a_run, the leading A-run, then
+    A^a_run B^j for j = 1..b_run, the B-run after it.  The column sums, over
+    these, the rest's column shifted by one power of Y and divided by i! j!,
+    the rest possibly the empty tail; one guarded loop divides every entry
+    exactly.  A rest of length L fills entries 1..L+1, so entry n, d, is the
+    length-(n-1) rest's entry n-1 over 1.  The rests go shortest first, so a
+    remainder names the step of the shortest rest that has one.  The column
+    depends only on the tail, so words that share a tail share its columns.
     """
     n = len(tail)
     rest = tail.lstrip("A")
@@ -157,18 +158,13 @@ def _alg2_column(cols, fact, d, tail: str) -> list[int]:
     terms += [(cols[n - a_run - j], fact[a_run] * fact[j],
                "block-boundary step" if a_run else "same-block step")
               for j in range(1, b_run + 1)]
-    for k in range(n - 1):
-        del terms[n - k:]
-        h = 0
-        for c, f, step in terms:
-            e = c[k]
+    for c, f, step in reversed(terms):
+        for k, e in enumerate(c, 1):
             if e:
                 q, rem = divmod(e, f)
                 if rem:
                     raise IntegerExactnessError(f"{step}: {e} not divisible by {f}")
-                h += q
-        col[k + 1] = h
-    col[n] = d
+                col[k] += q
     return col
 
 
@@ -191,7 +187,7 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     cols[n] is the column of the word's length-n tail, entries k = 0..n:
     cols[n][k] equals d times the tail's coefficient in the k-th power of
     e^A e^B - 1, so the table is a triangle, cols[0] == [d] is the empty tail
-    and cols[n][n] == d for every n.
+    and cols[n][n] == d for every n.  Every entry is linear in d.
     """
     n_total = word.degree
     if n_total > ALG2_DEGREE_MAX:
@@ -201,17 +197,18 @@ def alg2_table(word: WordSpec, *, common_denominator: int | None = None):
     fact = [math.factorial(t) for t in range(n_total + 1)]
     cols = [[d]]
     for i in range(n_total - 1, -1, -1):
-        cols.append(_alg2_column(cols, fact, d, letters[i:]))
+        cols.append(_alg2_column(cols, fact, letters[i:]))
     return cols, d
 
 
 def coeff_alg2(word: WordSpec, *, common_denominator: int | None = None) -> Fraction:
     """Coefficient of ``word`` in H, by integer recurrences over a scaled table.
 
-    ``common_denominator`` replaces the scale d = n! * d_n: a multiple of it
-    gives the same value, anything else trips the exactness guard, which is
-    what the tests use it for.  The benchmark's replay passes n! * d_n
-    itself, which saves nothing measurable.
+    ``common_denominator`` replaces the scale d = n! * d_n, the empty tail's
+    one entry: a multiple of it gives the same value, anything else trips
+    the exactness guard, which is what the tests use it for.  The
+    benchmark's replay passes n! * d_n itself, which saves nothing
+    measurable.
     """
     cols, d = alg2_table(word, common_denominator=common_denominator)
     return _log_coeff(cols[-1], d)
@@ -235,7 +232,7 @@ def _alg2_words(n: int, d: int) -> dict[str, Fraction]:
     def walk(tail):
         for letter in "AB":
             grown = letter + tail
-            cols.append(_alg2_column(cols, fact, d, grown))
+            cols.append(_alg2_column(cols, fact, grown))
             if len(grown) == n:
                 out[grown] = _log_coeff(cols[-1], d)
             else:

@@ -54,15 +54,20 @@ MUTANTS = (
            "rest.lstrip(\"B\")",
            "rest.lstrip(\"B\" if a_run else \"AB\")",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
-    Mutant("alg2-scan-one-term-short", "goldberg.py",
-           "del terms[n - k:]",
-           "del terms[n - k - 1:]",
+    # the rests in descending length: AABA's first remainder is then BA's
+    # entry 2 over 2!, a same-block step, not A's entry 1 at the boundary
+    Mutant("alg2-rests-longest-first", "goldberg.py",
+           "for c, f, step in reversed(terms):",
+           "for c, f, step in terms:",
+           ["tests/test_goldberg.py::test_step_guards_name_the_step"]),
+    Mutant("alg2-column-keeps-last-rest", "goldberg.py",
+           "col[k] += q",
+           "col[k] = q",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
-    # each column ends at its own length, so one term too many reads past a
-    # rest's column and raises
-    Mutant("alg2-scan-one-term-long", "goldberg.py",
-           "del terms[n - k:]",
-           "del terms[n - k + 1:]",
+    # a rest's column shifted by two powers of Y runs past the new column
+    Mutant("alg2-shift-by-two", "goldberg.py",
+           "enumerate(c, 1)",
+           "enumerate(c, 2)",
            ["tests/test_goldberg.py::TestSmallValues::test_frozen"]),
     Mutant("alg2-empty-tail-without-d", "goldberg.py",
            "    cols = [[d]]\n    for i in range(n_total - 1, -1, -1):",
@@ -90,6 +95,11 @@ MUTANTS = (
            "23, 29, 31, 37):",
            "23, 29, 31):",
            ["tests/test_exactmath.py::TestPrimes::test_strong_pseudoprimes"]),
+    # exactmath: a float n is refused, not summed digit by float digit
+    Mutant("digit-sum-takes-floats", "exactmath.py",
+           "    n = _integer(n, \"n\")\n    if n < 0:\n        raise ValueError(f\"n must be nonnegative, got {n}\")\n    s = 0\n",
+           "    if n < 0:\n        raise ValueError(f\"n must be nonnegative, got {n}\")\n    s = 0\n",
+           ["tests/test_exactmath.py::test_non_integers_are_refused"]),
     # analysis: the q_set residue test and the predicted residues
     Mutant("qset-residue-one-depth-short", "analysis.py",
            "num % powers[e + 1]",

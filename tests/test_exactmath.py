@@ -1,9 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from bchcoeff.analysis import lemma3_sides
+from bchcoeff.denominators import l_exponent, min_degree_with_l
 from bchcoeff.exactmath import (
     PADIC_INFINITY,
     digit_sum,
@@ -17,6 +20,7 @@ from bchcoeff.exactmath import (
     require_prime,
     vp,
 )
+from bchcoeff.witness import witness_runs
 
 
 class TestRationalStrings:
@@ -227,6 +231,28 @@ class TestBinomials:
             lucas_binomial_mod(5, 2, 6)
         with pytest.raises(ValueError):
             lucas_binomial_mod(-1, 0, 2)
+
+
+# each float here once got an answer, from truncated or float digits
+NON_INTEGER_CALLS = [
+    (padic_digits, (10.5, 2), "n must be an integer, got 10.5"),
+    (digit_sum, (10.5, 2), "n must be an integer, got 10.5"),
+    (digit_sum, ("10", 2), "n must be an integer, got '10'"),
+    (legendre_vp_factorial, (10.5, 2), "n must be an integer, got 10.5"),
+    (l_exponent, (10.5, 2), "n must be an integer, got 10.5"),
+    (lucas_binomial_mod, (10.5, 3, 2), "n must be an integer, got 10.5"),
+    (lucas_binomial_mod, (10, 3.0, 2), "k must be an integer, got 3.0"),
+    (min_degree_with_l, (2, 2.0), "l must be an integer, got 2.0"),
+    (witness_runs, (10.0, 3), "n must be an integer, got 10.0"),
+    (lemma3_sides, ((1.9, 2.9), 2, 1), "each entry must be an integer, got 1.9"),
+]
+
+
+@pytest.mark.parametrize("func, args, bad", NON_INTEGER_CALLS,
+                         ids=[f"{func.__name__}{args}" for func, args, _ in NON_INTEGER_CALLS])
+def test_non_integers_are_refused(func, args, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+        func(*args)
 
 
 class TestModular:

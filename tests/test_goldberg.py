@@ -660,6 +660,18 @@ class TestTableAudit:
         assert [len(c) for c in cols] == list(range(1, n + 2))
         assert [cols[m][m] for m in range(n + 1)] == [d] * (n + 1)
 
+    def test_scale_enters_once(self):
+        # the scale is the empty tail's one entry and every step is linear in
+        # the rests' columns, so tripling it triples every entry
+        for n in range(1, 7):
+            d = capital_denominator(n)
+            for w in itertools.product("AB", repeat=n):
+                word = WordSpec.from_letters("".join(w))
+                cols, _ = alg2_table(word)
+                tripled, scale = alg2_table(word, common_denominator=3 * d)
+                assert scale == 3 * d
+                assert tripled == [[3 * e for e in col] for col in cols]
+
     def test_log_assembly(self):
         # the alternating sum over k of cols[n][k]/k reproduces the oracle
         for letters in ("AABAB", "ABBA"):

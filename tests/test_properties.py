@@ -36,8 +36,15 @@ The pairs, with their domains:
   v_p(n!) + l(n, p): random n <= 300 and prime p < n;
 * ``extract_leading`` recombines to its input with a tail above depth e:
   random rationals, p <= 47.
+
+One more property has no second route: every syntactically valid command
+line, with integers just below 1, small, or just past a guard, exits 0, 1
+or 2, and exit 2 ends with an ``error:`` line.
 """
 
+import argparse
+import contextlib
+import io
 import itertools
 import math
 import operator
@@ -49,11 +56,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bchcoeff.analysis import extract_leading, q_set  # noqa: E402
+from bchcoeff import cli, verify  # noqa: E402
+from bchcoeff.analysis import QSET_DEGREE_MAX, extract_leading, q_set  # noqa: E402
 from bchcoeff.denominators import capital_denominator, l_exponent, partitions  # noqa: E402
 from bchcoeff.exactmath import legendre_vp_factorial, primes_upto, vp  # noqa: E402
 from bchcoeff.goldberg import (  # noqa: E402
+    ALG2_DEGREE_MAX,
     COEFF_DEGREE_MAX,
+    SERIES_ORACLE_MAX,
     WordSpec,
     _alg2_words,
     _goldberg_numerator,
@@ -252,3 +262,94 @@ def test_extract_leading_recombines(num, den, shift, p):
     assert (a_hat != 0) == (x != 0 and vp(x, p) <= 0)
     assert Fraction(a_hat, p**e) + u_hat == x
     assert u_hat == 0 or vp(u_hat, p) > -e
+
+
+# the subcommands of the parser the CLI runs, name -> subparser
+COMMANDS = next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def choices(command, option):
+    """The values the parser accepts for ``option`` of ``command``."""
+    return next(action.choices for action in COMMANDS[command]._actions
+                if option in action.option_strings)
+
+
+def near_guard(limit=None, small=3):
+    """An integer argument: below 1, small enough to run at once, or just
+    past ``limit``."""
+    values = [-1, 0, *range(1, small + 1)]
+    if limit is not None:
+        values += [limit + 1, limit + 2]
+    return st.sampled_from(values).map(str)
+
+
+def flags(*names):
+    """Each of the flags ``names`` given or not, as a list of arguments."""
+    return st.tuples(*(st.sampled_from([[], [name]]) for name in names)).map(
+        lambda chosen: sum(chosen, []))
+
+
+METHOD_LIMITS = {"goldberg": COEFF_DEGREE_MAX, "alg2": ALG2_DEGREE_MAX,
+                 "bernoulli": COEFF_DEGREE_MAX, "oracle": SERIES_ORACLE_MAX}
+PRIMES_AND_NOT = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "7"])
+# the heavy commands at an accepted bound: TABLE2's rows, the qset rows and
+# every suite at once
+HEAVY = ("t2", "table2", "qset", "all")
+
+
+@st.composite
+def coeff_argv(draw):
+    method = draw(st.sampled_from(choices("coeff", "--method")))
+    argv = ["coeff", "--method", method]
+    given_as = draw(st.sampled_from(["word", "runs", "word runs", ""]))
+    if "word" in given_as:
+        argv += ["--word", draw(st.text("AB", min_size=1, max_size=6))]
+    if "runs" in given_as:
+        # one argument, so that a leading minus does not read as an option
+        runs = draw(st.lists(near_guard(METHOD_LIMITS[method]), min_size=1, max_size=3))
+        argv.append("--runs=" + ",".join(runs))
+    return argv + draw(flags("--b-first", "--digits-only"))
+
+
+@st.composite
+def verify_argv(draw):
+    suite = draw(st.sampled_from(choices("verify", "--suite")))
+    limit = verify.SUITES[suite][2] if suite in verify.SUITES else None
+    bound = draw(near_guard(limit, 0 if suite in HEAVY else 3))
+    return ["verify", "--suite", suite, "--max-n", bound]
+
+
+# one strategy per subcommand of the parser: a new subcommand fails here
+# until it has one
+ARGV = {
+    "coeff": coeff_argv(),
+    "denom": st.tuples(near_guard(cli.DENOM_DEGREE_MAX, 10), flags("--factor")).map(
+        lambda t: ["denom", "--n", t[0], *t[1]]),
+    "witness": st.tuples(near_guard(COEFF_DEGREE_MAX, 12), PRIMES_AND_NOT).map(
+        lambda t: ["witness", "--n", t[0], "--p", t[1]]),
+    "verify": verify_argv(),
+    "qset": st.tuples(near_guard(QSET_DEGREE_MAX, 10), PRIMES_AND_NOT).map(
+        lambda t: ["qset", "--n", t[0], "--p", t[1]]),
+    "lcm": near_guard(SERIES_ORACLE_MAX, 6).map(lambda n: ["lcm", "--n", n]),
+    "table": st.tuples(st.sampled_from([name for name in choices("table", "--name")
+                                        if name not in HEAVY]),
+                       flags("--digits-only")).map(lambda t: ["table", "--name", t[0], *t[1]]),
+}
+CLI_ARGV = st.one_of(*(ARGV[command] for command in COMMANDS))
+
+
+@settings(PROFILE, max_examples=300)
+@given(CLI_ARGV, st.sampled_from(["before", "after", None]))
+def test_cli_exits_with_a_status_and_names_the_error(argv, json_at):
+    if json_at == "before":
+        argv = ["--json", *argv]
+    elif json_at == "after":
+        argv = [*argv, "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
